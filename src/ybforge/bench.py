@@ -1,9 +1,11 @@
 """Benchmark the compiled int64 kernels against the pure big-integer kernels.
 
 Two workloads: raw square matrix products with small integer entries (the
-shape every braid check reduces to), and a full braid verification for the
-operator R_{1,1,1} over 2x2 matrices (64x64 lifts).  Deterministic inputs,
-wall-clock medians over a few repetitions.
+dense shape left in the restricted braid check and the coalgebra checks),
+and a full braid verification for the operator R_{1,1,1} over 2x2 matrices.
+The braid check acts on tensor slots and never reaches the kernels, so its
+two columns time the same code path.  Deterministic inputs, best wall-clock
+time over a few repetitions.
 """
 import random
 import time

@@ -27,9 +27,9 @@ from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          dualize_co, jordan_co_check, jordan_w_check,
                          structure_from_json, structure_to_json,
                          validate_colorlie, validate_superlie)
-from .ybcore import (braid_check, braid_qybe_equiv, braid_witness,
-                     is_yb_operator, linop2_from_json, linop2_to_json,
-                     qybe_check, qybe_witness, wxz_check)
+from .ybcore import (braid_qybe_equiv, braid_witness, is_yb_operator,
+                     linop2_from_json, linop2_to_json, qybe_witness,
+                     wxz_check)
 from . import registry
 
 
@@ -323,11 +323,11 @@ def cmd_ybe_verify(args):
         wanted = ["braid", "invertible", "equivalence"]
     for name in wanted:
         if name == "braid":
-            ok = braid_check(op)
-            report.add("braid", ok, witness=None if ok else braid_witness(op))
+            witness = braid_witness(op)
+            report.add("braid", witness is None, witness=witness)
         elif name == "qybe":
-            ok = qybe_check(op)
-            report.add("qybe", ok, witness=None if ok else qybe_witness(op))
+            witness = qybe_witness(op)
+            report.add("qybe", witness is None, witness=witness)
         elif name == "invertible":
             report.add("invertible", mat_inverse(op.mat) is not None)
         else:
@@ -502,7 +502,9 @@ def cmd_dualize(args):
 def cmd_bench(args):
     from . import bench
     report = Report("bench")
-    bench.run(size=args.size, reps=args.reps, chain=args.chain)
+    # in --json mode the table rows become report notes, so stdout is JSON only
+    out = report.note if args.json else print
+    bench.run(size=args.size, reps=args.reps, chain=args.chain, out=out)
     return report
 
 

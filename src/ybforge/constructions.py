@@ -2,8 +2,8 @@
 
 Every family here is produced by one bilinear template on basis columns:
 some combination of ab(x)1, 1(x)ab, the swap b(x)a, and the diagonal a(x)b.
-Verification goes through ybcore (exact matrix identities) and paramgrid
-(grid certification for the parameter-dependent claims).
+Verification goes through ybcore (exact identities by slot action) and
+paramgrid (grid certification for the parameter-dependent claims).
 """
 import itertools
 from dataclasses import dataclass
@@ -15,8 +15,8 @@ from .paramgrid import GridConfigError, GridResult, default_grid, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          basis_vec, bracket_vec, center_contains,
                          check_algebra_props, mul_vec)
-from .ybcore import (LinOp2, braid_check, compose, lift, mat_is_zero,
-                     restricted_braid_check, twist)
+from .ybcore import (LinOp2, braid_check, compose, restricted_braid_check,
+                     twist, yb_vanishes)
 
 
 class NotYangBaxterError(ValueError):
@@ -209,23 +209,15 @@ def colored_qybe_verify(F, grid):
         bound = degree_bounds("colored")["u"]
         certified = len(grid) >= bound + 1
     ops = {}
-    lifts = {}
 
-    def lifted(u, v, pos):
-        key = (u, v, pos)
-        if key not in lifts:
-            if (u, v) not in ops:
-                ops[u, v] = F.evaluator(u, v)
-            lifts[key] = lift(ops[u, v], pos).mat
-        return lifts[key]
+    def op(u, v):
+        if (u, v) not in ops:
+            ops[u, v] = F.evaluator(u, v)
+        return ops[u, v]
 
     witness = None
     for u, v, w in itertools.product(grid, repeat=3):
-        lhs = mat_mul(mat_mul(lifted(u, v, 12), lifted(u, w, 13)),
-                      lifted(v, w, 23))
-        rhs = mat_mul(mat_mul(lifted(v, w, 23), lifted(u, w, 13)),
-                      lifted(u, v, 12))
-        if lhs != rhs:
+        if not yb_vanishes(op(u, v), op(u, w), op(v, w)):
             witness = {"u": u, "v": v, "w": w}
             break
     cert = {name: (len(grid), bound) for name in ("u", "v", "w")}
@@ -266,21 +258,16 @@ def oneparam_verify(A, q, tgrid):
         raise GridConfigError("t-grid points must be nonzero")
     bound = degree_bounds("oneparam")["t1"]
     certified = len(tgrid) >= bound + 1
-    lifts = {}
+    ops = {}
 
-    def lifted(ratio, pos):
-        key = (ratio, pos)
-        if key not in lifts:
-            lifts[key] = lift(fam(ratio), pos).mat
-        return lifts[key]
+    def op(ratio):
+        if ratio not in ops:
+            ops[ratio] = fam(ratio)
+        return ops[ratio]
 
     witness = None
     for t1, t2, t3 in itertools.product(tgrid, repeat=3):
-        lhs = mat_mul(mat_mul(lifted(t1 / t2, 12), lifted(t1 / t3, 13)),
-                      lifted(t2 / t3, 23))
-        rhs = mat_mul(mat_mul(lifted(t2 / t3, 23), lifted(t1 / t3, 13)),
-                      lifted(t1 / t2, 12))
-        if lhs != rhs:
+        if not yb_vanishes(op(t1 / t2), op(t1 / t3), op(t2 / t3)):
             witness = {"t1": t1, "t2": t2, "t3": t3}
             break
     cert = {name: (len(tgrid), bound) for name in ("t1", "t2", "t3")}

@@ -175,10 +175,6 @@ def mat_scale(a, s):
                a.den * s.denominator)
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def mat_is_zero(a):
     return not any(a.num)
 
@@ -228,16 +224,8 @@ def mat_inverse(a):
 
 # Vectors are plain lists of Rat.
 
-def vec_from(entries):
-    return [Fraction(x) if not isinstance(x, Fraction) else x for x in entries]
-
-
 def vec_is_zero(v):
     return not any(v)
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
 
 
 def vec_dot(u, v):

@@ -1,16 +1,24 @@
-"""Operators on V(x)V, their lifts to V(x)3, and the braid-type checks.
+"""Operators on V(x)V, their action on tensor slots of V(x)3, and the
+braid-type checks.
 
 Index convention everywhere: e_i (x) e_j sits at coordinate i*n + j, and
-e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.  The lifts
-are R12 = R(x)I, R23 = I(x)R, and R13 = (I(x)tau)(R(x)I)(I(x)tau), computed
-by exact matrix products.
+e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.
+
+Every identity on V(x)3 is decided by slot action: `act` applies an operator
+R to slot pair (1,2), (2,3) or (1,3) of a sparse vector of integer
+numerators, so R12 = R(x)I, R23 = I(x)R and R13 = (I(x)tau)(R(x)I)(I(x)tau)
+are never formed as n^3 x n^3 matrices.  Each check pushes the basis vectors
+e_c through both words of an identity.  Both words are products of the same
+factors, so their denominators agree and comparing numerators is exact.  A
+verdict stops at the first column that differs; a witness is the row-major
+first mismatch of the dense difference (smallest output index, then smallest
+input column).
 """
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactla import (Mat, first_mismatch, kron, mat_from_columns,
-                      mat_identity, mat_inverse, mat_is_zero, mat_mul,
-                      mat_sub)
+from .exactla import (Mat, mat_from_columns, mat_identity, mat_inverse,
+                      mat_is_zero, mat_mul)
 
 
 class LinOp2:
@@ -21,6 +29,7 @@ class LinOp2:
             raise ValueError("expected %d x %d matrix" % (n * n, n * n))
         self.n = n
         self.mat = mat
+        self._views = {}
 
     def __eq__(self, other):
         if not isinstance(other, LinOp2):
@@ -83,70 +92,148 @@ def compose(a, b):
     return LinOp2(a.n, mat_mul(a.mat, b.mat))
 
 
-_ITAU_CACHE = {}
+def _slot_view(r, pos):
+    # Sparse view of r.mat.num on slot pair pos, built once per operator:
+    # view[idx] = (rest, column) for the basis index idx of V(x)3, where
+    # column lists (offset, numerator) over the nonzero entries of the column
+    # of r that idx feeds, and offset + rest is the output index.
+    view = r._views.get(pos)
+    if view is None:
+        n = r.n
+        nn = n * n
+        if pos == 12:
+            place = [row * n for row in range(nn)]
+            split = [(idx // n, idx % n) for idx in range(nn * n)]
+        elif pos == 23:
+            place = list(range(nn))
+            split = [(idx % nn, idx - idx % nn) for idx in range(nn * n)]
+        elif pos == 13:
+            place = [(row // n) * nn + row % n for row in range(nn)]
+            split = [((idx // nn) * n + idx % n, idx % nn - idx % n)
+                     for idx in range(nn * n)]
+        else:
+            raise ValueError("pos must be 12, 13 or 23")
+        num = r.mat.num
+        cols = [tuple((place[row], num[row * nn + c])
+                      for row in range(nn) if num[row * nn + c])
+                for c in range(nn)]
+        view = [(rest, cols[c]) for c, rest in split]
+        r._views[pos] = view
+    return view
 
 
-def _i_tau(n):
-    # I (x) tau on V^(x3), cached per dimension
-    if n not in _ITAU_CACHE:
-        _ITAU_CACHE[n] = kron(mat_identity(n), twist(n).mat)
-    return _ITAU_CACHE[n]
+def act(r, pos, vec):
+    """Apply r to slot pair pos (12, 23 or 13) of a sparse vector on V(x)3.
+
+    vec maps flat indices i*n^2 + j*n + k to integer numerators.  The result
+    holds the numerators of r_pos vec over one more factor of r.mat.den, with
+    zero entries dropped.
+    """
+    view = _slot_view(r, pos)
+    out = {}
+    get = out.get
+    for idx, x in vec.items():
+        rest, column = view[idx]
+        for offset, m in column:
+            o = offset + rest
+            out[o] = get(o, 0) + x * m
+    return {o: x for o, x in out.items() if x}
 
 
 def lift(r, pos):
-    """Lift a LinOp2 to slots (1,2), (1,3) or (2,3) of V^(x3)."""
-    n = r.n
-    if pos == 12:
-        return LinOp3(n, kron(r.mat, mat_identity(n)))
-    if pos == 23:
-        return LinOp3(n, kron(mat_identity(n), r.mat))
-    if pos == 13:
-        it = _i_tau(n)
-        return LinOp3(n, mat_mul(it, mat_mul(kron(r.mat, mat_identity(n)), it)))
-    raise ValueError("pos must be 12, 13 or 23")
+    """Lift a LinOp2 to slots (1,2), (1,3) or (2,3) of V^(x3) as a dense
+    matrix, column by column through `act`."""
+    n3 = r.n ** 3
+    num = [0] * (n3 * n3)
+    for c in range(n3):
+        for row, x in act(r, pos, {c: 1}).items():
+            num[row * n3 + c] = x
+    return LinOp3(r.n, Mat(n3, n3, num, r.mat.den))
 
 
-def _triple(a, b, c):
-    return mat_mul(mat_mul(a.mat, b.mat), c.mat)
+# A word is a tuple of factors (op, pos), applied right to left.  The two
+# words of an identity hold the same factors, so their numerators share one
+# denominator: the product of the factors' denominators.
+
+def _apply_word(word, c):
+    vec = {c: 1}
+    for op, pos in reversed(word):
+        vec = act(op, pos, vec)
+    return vec
+
+
+def _columns(lhs, rhs):
+    # (c, lhs e_c, rhs e_c) for every basis vector e_c of V(x)3
+    for c in range(lhs[0][0].n ** 3):
+        yield c, _apply_word(lhs, c), _apply_word(rhs, c)
+
+
+def _words_agree(lhs, rhs):
+    return all(a == b for _c, a, b in _columns(lhs, rhs))
+
+
+def _words_witness(lhs, rhs):
+    """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
+    words differ, or None."""
+    best = None
+    for c, a, b in _columns(lhs, rhs):
+        if a != b:
+            row = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            if best is None or row < best[0]:
+                best = (row, c)
+                if row == 0:
+                    break
+    if best is None:
+        return None
+    n = lhs[0][0].n
+    return tuple((flat // n ** 2, (flat // n) % n, flat % n)
+                 for flat in (best[1], best[0]))
+
+
+def _words_diff(lhs, rhs):
+    """lhs - rhs as a dense Mat on V(x)3."""
+    n3 = lhs[0][0].n ** 3
+    num = [0] * (n3 * n3)
+    for c, a, b in _columns(lhs, rhs):
+        for row in a.keys() | b.keys():
+            num[row * n3 + c] = a.get(row, 0) - b.get(row, 0)
+    den = 1
+    for op, _pos in lhs:
+        den *= op.mat.den
+    return Mat(n3, n3, num, den)
+
+
+def _braid_words(r):
+    return ((r, 12), (r, 23), (r, 12)), ((r, 23), (r, 12), (r, 23))
+
+
+def _yb_words(r, s, t):
+    if not (r.n == s.n == t.n):
+        raise ValueError("dim mismatch")
+    return ((r, 12), (s, 13), (t, 23)), ((t, 23), (s, 13), (r, 12))
 
 
 def braid_diff(r):
     """R12 R23 R12 - R23 R12 R23 as a matrix on V^(x3)."""
-    r12, r23 = lift(r, 12), lift(r, 23)
-    return mat_sub(_triple(r12, r23, r12), _triple(r23, r12, r23))
+    return _words_diff(*_braid_words(r))
 
 
 def braid_check(r):
-    return mat_is_zero(braid_diff(r))
+    return _words_agree(*_braid_words(r))
 
 
 def braid_witness(r):
     """None when the braid equation holds; else ((i,j,k) in, (i,j,k) out)."""
-    r12, r23 = lift(r, 12), lift(r, 23)
-    hit = first_mismatch(_triple(r12, r23, r12), _triple(r23, r12, r23))
-    if hit is None:
-        return None
-    row, col = hit
-    return _unflatten3(r.n, col), _unflatten3(r.n, row)
-
-
-def _unflatten3(n, flat):
-    return (flat // n ** 2, (flat // n) % n, flat % n)
+    return _words_witness(*_braid_words(r))
 
 
 def qybe_check(r):
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    return _triple(r12, r13, r23) == _triple(r23, r13, r12)
+    return yb_vanishes(r, r, r)
 
 
 def qybe_witness(r):
     """None when the QYBE holds; else ((i,j,k) in, (i,j,k) out)."""
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    hit = first_mismatch(_triple(r12, r13, r23), _triple(r23, r13, r12))
-    if hit is None:
-        return None
-    row, col = hit
-    return _unflatten3(r.n, col), _unflatten3(r.n, row)
+    return _words_witness(*_yb_words(r, r, r))
 
 
 def is_yb_operator(r):
@@ -167,11 +254,12 @@ def braid_qybe_equiv(r):
 
 def yb_commutator(r, s, t):
     """[R,S,T] = R12 S13 T23 - T23 S13 R12 on V^(x3)."""
-    if not (r.n == s.n == t.n):
-        raise ValueError("dim mismatch")
-    lhs = _triple(lift(r, 12), lift(s, 13), lift(t, 23))
-    rhs = _triple(lift(t, 23), lift(s, 13), lift(r, 12))
-    return LinOp3(r.n, mat_sub(lhs, rhs))
+    return LinOp3(r.n, _words_diff(*_yb_words(r, s, t)))
+
+
+def yb_vanishes(r, s, t):
+    """True iff [R,S,T] = 0, stopping at the first column that differs."""
+    return _words_agree(*_yb_words(r, s, t))
 
 
 def wxz_check(w, x, z):
@@ -179,10 +267,10 @@ def wxz_check(w, x, z):
     if not (w.n == x.n == z.n):
         raise ValueError("dim mismatch")
     return WxzReport(
-        www=mat_is_zero(yb_commutator(w, w, w).mat),
-        zzz=mat_is_zero(yb_commutator(z, z, z).mat),
-        wxx=mat_is_zero(yb_commutator(w, x, x).mat),
-        xxz=mat_is_zero(yb_commutator(x, x, z).mat),
+        www=yb_vanishes(w, w, w),
+        zzz=yb_vanishes(z, z, z),
+        wxx=yb_vanishes(w, x, x),
+        xxz=yb_vanishes(x, x, z),
     )
 
 

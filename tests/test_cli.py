@@ -382,3 +382,21 @@ def test_json_report_failure_carries_witness(capsys, tmp_path):
     braid = [c for c in doc["checks"] if c["name"] == "braid"][0]
     assert braid["verdict"] is False
     assert braid["witness"] == [[0, 0, 1], [0, 0, 1]]
+
+
+def test_bench_json_stdout_is_one_json_document(capsys):
+    code, out, _ = run(capsys, "bench", "--size", "4", "--reps", "1",
+                       "--chain", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["command"] == "bench"
+    assert doc["notes"][0].startswith("backend: ")
+    assert any(n.startswith("braid check") for n in doc["notes"])
+
+
+def test_bench_text_mode_prints_the_table(capsys):
+    code, out, _ = run(capsys, "bench", "--size", "4", "--reps", "1",
+                       "--chain", "2")
+    assert code == 0
+    assert out.startswith("backend: ")
+    assert "matmul chain 4x4 (x2)" in out
