@@ -162,7 +162,7 @@ def load_structure(source):
             % (source, ", ".join(registry.names())))
     try:
         return structure_from_json(_load_json(source))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError("bad structure file %s: %s" % (source, exc))
 
 
@@ -197,14 +197,6 @@ def _grid_points(arg_value, tag, var, nonzero=False):
 
 # --- algebra-check -------------------------------------------------------
 
-_PROP_NAMES = {
-    "algebra": ("commutative", "associative", "unital", "jordan"),
-    "coalgebra": ("cocommutative", "coassociative", "counital", "jordan"),
-    "superlie": ("antisymmetric", "jacobi"),
-    "colorlie": ("antisymmetric", "jacobi"),
-}
-
-
 def cmd_algebra_check(args):
     report = Report("algebra-check %s" % args.source)
     obj = load_structure(args.source)
@@ -218,7 +210,11 @@ def cmd_algebra_check(args):
             report.note("%s=%s" % (name, str(value).lower()))
         if p.commutative:
             mode = args.jordan_mode
-            ok = jordan_w_check(obj, mode=mode)
+            # p.jordan is the pattern3 relation of a commutative algebra
+            if mode == "pattern3":
+                ok = p.jordan
+            else:
+                ok = jordan_w_check(obj, mode=mode)
             props["jordan-w"] = ok
             report.add("jordan-w[%s]" % mode, ok)
         else:
@@ -383,7 +379,7 @@ def cmd_ybe_wxz38(args):
 def cmd_ybe_phi(args):
     report = Report("ybe phi")
     lie = _require_kind(load_structure(args.lie), SuperLieSpec, "--lie")
-    z = _default_z(args)
+    z = _default_z(args, lie)
     alpha = _rat(args.alpha, "alpha")
     try:
         pair = phi_super(lie, z, alpha)
@@ -400,9 +396,13 @@ def cmd_ybe_phi(args):
     return report
 
 
-def _default_z(args):
+def _default_z(args, lie):
     if args.z is not None:
-        return [_rat(part, "z") for part in args.z.split(",")]
+        z = [_rat(part, "z") for part in args.z.split(",")]
+        if len(z) != lie.n:
+            raise CliInputError("--z has %d entries, %s has dimension %d"
+                                % (len(z), args.lie, lie.n))
+        return z
     name = args.lie.split("(", 1)[0]
     if name in registry.DEFAULT_Z:
         return [Fraction(v) for v in registry.DEFAULT_Z[name]]
@@ -425,11 +425,11 @@ def _parse_table(text, what):
 def cmd_ybe_super_colored(args):
     report = Report("ybe super-colored")
     lie = _require_kind(load_structure(args.lie), SuperLieSpec, "--lie")
-    z = _default_z(args)
+    z = _default_z(args, lie)
     alpha_table = _parse_table(args.alpha_table, "alpha table")
     beta_table = _parse_table(args.beta_table, "beta table")
     if args.colors is not None:
-        colors = [Fraction(part) for part in args.colors.split(",")]
+        colors = [_rat(part, "color") for part in args.colors.split(",")]
     else:
         colors = sorted(alpha_table)
     try:

@@ -11,10 +11,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactla import Mat, mat_from_columns, mat_identity, mat_mul, mat_scale, mat_transpose
-from .paramgrid import GridConfigError, GridResult, default_grid, degree_bounds
+from .paramgrid import GridConfigError, GridResult, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
-                         basis_vec, bracket_vec, center_contains,
-                         check_algebra_props, mul_vec)
+                         _unit_valid, center_contains, check_algebra_props)
 from .ybcore import (LinOp2, braid_check, compose, restricted_braid_check,
                      twist, yb_vanishes)
 
@@ -67,8 +66,7 @@ class RestrictedReport:
 
 
 def _require_unit(A):
-    rep = check_algebra_props(A)
-    if not rep.unital:
+    if not _unit_valid(A):
         raise MissingUnitError("construction needs a unital algebra")
     return A.unit
 
@@ -397,25 +395,17 @@ def _adjoin_unit(J):
     return AlgebraSpec(["1"] + list(J.basis), c, unit=[1] + [0] * J.n)
 
 
-def _kron3_vec(a, b, c):
-    out = []
-    for x in a:
-        for y in b:
-            xy = x * y
-            for w in c:
-                out.append(xy * w)
-    return out
-
-
-def jordan_r_restricted(J, alpha, beta, gamma, grid=None):
+def jordan_r_restricted(J, alpha, beta, gamma):
     """Braid equation for R_{alpha,beta,gamma} over a Jordan algebra,
     restricted to the span of {a^2(x)b(x)a, a(x)b(x)a^2 : a,b in J}.
 
     J must satisfy the Jordan property.  When J lacks a unit a formal one is
     adjoined (the formula references 1); the spanning family still ranges
-    over elements of J only.  a and b run over coordinate grids with 4
-    points per coordinate, which spans the same subspace as all of J (the
-    family is cubic in a and linear in b).
+    over elements of J only.  Both members are cubic in a and linear in b,
+    so over Q they span the same subspace as their polarisations: for each
+    multiset {i<=j<=k} of J's basis and each basis element b, the sums of
+    (e_p e_q)(x)b(x)e_s and e_s(x)b(x)(e_p e_q) over the orderings (p,q,s)
+    of (i,j,k).  That gives C(n+2,3)*n*2 vectors.
     """
     props = check_algebra_props(J)
     if not props.jordan:
@@ -424,19 +414,21 @@ def jordan_r_restricted(J, alpha, beta, gamma, grid=None):
         jp, offset = J, 0
     else:
         jp, offset = _adjoin_unit(J), 1
-    if grid is None:
-        grid = default_grid(4)
-    grid = [Fraction(g) for g in grid]
     r = r_algebra(jp, alpha, beta, gamma)
     full = braid_check(r)
-    pad = [Fraction(0)] * offset
+    m = jp.n
+    own = range(offset, m)
     family = []
-    for acoords in itertools.product(grid, repeat=J.n):
-        a = pad + list(acoords)
-        a2 = mul_vec(jp, a, a)
-        for bcoords in itertools.product(grid, repeat=J.n):
-            b = pad + list(bcoords)
-            family.append(_kron3_vec(a2, b, a))
-            family.append(_kron3_vec(a, b, a2))
+    for idx3 in itertools.combinations_with_replacement(own, 3):
+        perms = list(itertools.permutations(idx3))
+        for b in own:
+            sq_b_a = [Fraction(0)] * m ** 3
+            a_b_sq = [Fraction(0)] * m ** 3
+            for p, q, s in perms:
+                for k, x in enumerate(jp.c[p][q]):
+                    if x:
+                        sq_b_a[(k * m + b) * m + s] += x
+                        a_b_sq[(s * m + b) * m + k] += x
+            family += [sq_b_a, a_b_sq]
     restricted = restricted_braid_check(r, family)
     return RestrictedReport(restricted, full, offset == 1, len(family))

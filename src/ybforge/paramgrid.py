@@ -79,19 +79,18 @@ def grid_verify(job):
 #    factors, degree <= 3 <= 6.
 #  - wxz38: W, X, Z entries are linear in lambda resp. mu; the commutator
 #    conditions are triple products, degree <= 3.
-#  - jordan-identity: (x^2 y) x and x^2 (y x) are cubic in the coordinates
-#    of x (and linear in y, which ranges over the basis separately).
+# The Jordan identity needs no grid: structures decides it exactly by
+# polarisation on basis multisets.
 _BOUNDS = {
     "rA-braid": {"alpha": 3, "beta": 3, "gamma": 3},
     "colored": {"u": 3, "v": 3, "w": 3, "p": 3, "q": 3},
     "oneparam": {"t1": 6, "t2": 6, "t3": 6, "q": 6},
     "wxz38": {"lambda": 3, "mu": 3},
-    "jordan-identity": {"s": 3},
 }
 
 
 def degree_bounds(tag):
-    """Bound table for a known construction tag; "s" means per coordinate."""
+    """Bound table for a known construction tag."""
     try:
         return dict(_BOUNDS[tag])
     except KeyError:

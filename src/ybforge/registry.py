@@ -105,11 +105,15 @@ def build(name, *args):
     also accepted inline as "name(arg,...)"."""
     if "(" in name and name.endswith(")"):
         base, _, rest = name.partition("(")
-        inline = [Fraction(tok) for tok in rest[:-1].split(",") if tok.strip()]
+        inline = [tok for tok in rest[:-1].split(",") if tok.strip()]
         return build(base.strip(), *inline)
     if name not in REGISTRY:
         raise KeyError("unknown example %r (have: %s)" % (name, ", ".join(names())))
     builder, params = REGISTRY[name]
     if len(args) > len(params):
         raise ValueError("%s takes at most %d parameters" % (name, len(params)))
-    return builder(*[Fraction(a) for a in args])
+    try:
+        values = [Fraction(a) for a in args]
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %s%r" % (name, args)) from None
+    return builder(*values)

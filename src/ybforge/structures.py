@@ -5,26 +5,32 @@ eta(e_k) = sum_{i,j} d[k][i][j] e_i (x) e_j.  Axiom checkers cover
 commutativity, associativity, the Jordan identity (x^2 y) x = x^2 (y x),
 their coalgebra duals, and the Z2- and G-graded Lie axioms.
 
-The Jordan identity is cubic in x, so checking it on basis elements alone
-proves nothing; it is verified on coordinate grids through paramgrid, which
-makes a passing check a proof (tensor-grid interpolation), not a sample.
+Every Jordan verdict is one exact multilinear evaluation.  With
+G(v1,v2,v3,v4) = ((v1 v2) v3) v4 - (v1 v2)(v3 v4), the W subspace of V^(x4)
+is spanned by generators indexed by a basis multiset {i<=j<=k} and a basis
+element e_l: the sum over all orderings of (i,j,k) with e_l inserted at a
+slot.  G is linear, so it vanishes on W iff it vanishes on each generator,
+and no basis of W is ever formed.  The modes differ in the slots used,
+because the source text's literal reading is contradicted by a computable
+counterexample: pattern3 inserts at slot 2 only, giving the full
+polarisation of the cubic identity G(x,x,y,x) = (x^2 y) x - x^2 (y x),
+which over Q is equivalent to the Jordan identity; symmetrized sums each
+generator over the four slots (holds in any Jordan algebra via linearized
+power-associativity); full takes all four slots separately (fails already
+for 2x2 symmetric matrices).  Checkers take the mode explicitly and never
+guess.
 
-The W subspace of V^(x4) is built in three modes because the source text's
-literal reading is contradicted by a computable counterexample: pattern3
-uses only the x(x)x(x)y(x)x pattern (equivalent to the Jordan identity),
-symmetrized sums each generator over the four insertion positions (holds in
-any Jordan algebra via linearized power-associativity), and full takes all
-four positions separately (fails already for 2x2 symmetric matrices).
-Checkers take the mode explicitly and never guess.
+The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j]:
+pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
+with w gives coordinate k of G(w) there, so the dual W relation is the same
+evaluation, and (co)commutativity and (co)associativity transpose likewise.
 """
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import paramgrid, ybcore
-from .exactla import (Rat, kron, mat_from_columns, mat_identity, mat_mul,
-                      mat_sub, project_onto, row_space_basis, vec_is_zero)
+from .exactla import row_space_basis, vec_is_zero
 
 
 class PreconditionError(ValueError):
@@ -35,20 +41,14 @@ class MissingUnitError(PreconditionError):
     """Construction requires a unital algebra."""
 
 
-def _frac_table(table, n, what):
-    if len(table) != n:
-        raise ValueError("%s table must be %d^3" % (what, n))
-    out = []
-    for plane in table:
-        if len(plane) != n:
+def _frac_table(table, n, what, parse=Fraction):
+    def sized(seq):
+        if not isinstance(seq, (list, tuple)) or len(seq) != n:
             raise ValueError("%s table must be %d^3" % (what, n))
-        rows = []
-        for row in plane:
-            if len(row) != n:
-                raise ValueError("%s table must be %d^3" % (what, n))
-            rows.append([Fraction(x) for x in row])
-        out.append(rows)
-    return out
+        return seq
+
+    return [[[parse(x) for x in sized(row)] for row in sized(plane)]
+            for plane in sized(table)]
 
 
 class AlgebraSpec:
@@ -241,60 +241,35 @@ def _unit_valid(A):
     return True
 
 
-def _jordan_identity_grid(A):
-    # (x^2 y) x = x^2 (y x) for x = sum s_i e_i, y over the basis; cubic in
-    # each s_i, so 4-point grids per coordinate certify the identity.
+def _commutative(A):
     n = A.n
-    names = ["s%d" % i for i in range(n)]
-    bound = paramgrid.degree_bounds("jordan-identity")["s"]
-    grids = {nm: paramgrid.default_grid(bound + 1) for nm in names}
+    return all(A.c[i][j] == A.c[j][i] for i in range(n) for j in range(i + 1, n))
 
-    def evaluate(assign):
-        x = [assign[nm] for nm in names]
-        x2 = mul_vec(A, x, x)
-        lhs_cols, rhs_cols = [], []
+
+def _associative(A):
+    n = A.n
+    for i in range(n):
         for j in range(n):
-            y = basis_vec(n, j)
-            lhs_cols.append(mul_vec(A, mul_vec(A, x2, y), x))
-            rhs_cols.append(mul_vec(A, x2, mul_vec(A, y, x)))
-        return mat_from_columns(lhs_cols), mat_from_columns(rhs_cols)
-
-    job = paramgrid.IdentityJob(
-        description="jordan identity (x^2 y) x = x^2 (y x)",
-        variables=[(nm, bound) for nm in names],
-        grids=grids,
-        evaluator=evaluate,
-    )
-    return paramgrid.grid_verify(job).verdict
+            eij = A.c[i][j]
+            for k in range(n):
+                lhs = mul_vec(A, eij, basis_vec(n, k))
+                if lhs != mul_vec(A, basis_vec(n, i), A.c[j][k]):
+                    return False
+    return True
 
 
 def check_algebra_props(A):
     """Commutativity, associativity, declared-unit validity, Jordan property.
 
     jordan means: commutative and the identity (x^2 y) x = x^2 (y x) holds
-    for all x, y.  (A Jordan algebra is commutative by definition; an
-    associative noncommutative algebra satisfies the bare identity but is
-    not Jordan.)
+    for all x, y, decided exactly by its full polarisation (the pattern3 W
+    relation, see the module doc).  (A Jordan algebra is commutative by
+    definition; an associative noncommutative algebra satisfies the bare
+    identity but is not Jordan.)
     """
-    n = A.n
-    comm = all(A.c[i][j] == A.c[j][i] for i in range(n) for j in range(i + 1, n))
-    assoc = True
-    for i in range(n):
-        for j in range(n):
-            eij = A.c[i][j]
-            for k in range(n):
-                lhs = mul_vec(A, eij, basis_vec(n, k))
-                rhs = mul_vec(A, basis_vec(n, i), A.c[j][k])
-                if lhs != rhs:
-                    assoc = False
-                    break
-            if not assoc:
-                break
-        if not assoc:
-            break
-    unital = _unit_valid(A)
-    jordan = comm and _jordan_identity_grid(A)
-    return PropReport(comm, assoc, unital, jordan)
+    comm = _commutative(A)
+    jordan = comm and _g_vanishes_on_w(A, "pattern3")
+    return PropReport(comm, _associative(A), _unit_valid(A), jordan)
 
 
 def theorem21_instance(s, t):
@@ -311,72 +286,67 @@ def theorem21_verdict(s, t):
                         rep.jordan == rep.associative)
 
 
-_W_CACHE = {}
+# Insertion slots of e_l per mode; the generators of one group are summed.
+_W_SLOTS = {"pattern3": ((2,),), "full": ((0,), (1,), (2,), (3,)),
+            "symmetrized": ((0, 1, 2, 3),)}
 
 
-def _polarized_generator(n, idx3, j, pos):
-    # sum over all orderings of idx3 with e_j inserted at slot pos
-    v = [Fraction(0)] * n ** 4
-    for perm in itertools.permutations(idx3):
-        slots = list(perm[:pos]) + [j] + list(perm[pos:])
-        flat = ((slots[0] * n + slots[1]) * n + slots[2]) * n + slots[3]
-        v[flat] += 1
-    return v
+def _w_generators(n, mode):
+    """Each generator of W as the list of basis 4-tuples it sums, in the
+    order multiset {i<=j<=k}, inserted e_l, slot group."""
+    try:
+        groups = _W_SLOTS[mode]
+    except KeyError:
+        raise ValueError("unknown mode %r" % (mode,)) from None
+    for idx3 in itertools.combinations_with_replacement(range(n), 3):
+        perms = list(itertools.permutations(idx3))
+        for l in range(n):
+            for group in groups:
+                yield [p[:pos] + (l,) + p[pos:] for pos in group for p in perms]
 
 
 def w_subspace_basis(n, mode):
-    """Polarization basis of W in V^(x4) for the given mode (see module doc)."""
-    if mode not in ("pattern3", "symmetrized", "full"):
-        raise ValueError("unknown mode %r" % (mode,))
-    key = (n, mode)
-    if key in _W_CACHE:
-        return _W_CACHE[key]
+    """Row-reduced basis of W in V^(x4) for the given mode (see module doc).
+
+    The checks never need it; it documents W's dimension for the tests."""
     gens = []
-    for idx3 in itertools.combinations_with_replacement(range(n), 3):
-        for j in range(n):
-            if mode == "pattern3":
-                gens.append(_polarized_generator(n, idx3, j, 2))
-            elif mode == "full":
-                for pos in range(4):
-                    gens.append(_polarized_generator(n, idx3, j, pos))
-            else:
-                acc = [Fraction(0)] * n ** 4
-                for pos in range(4):
-                    g = _polarized_generator(n, idx3, j, pos)
-                    acc = [x + y for x, y in zip(acc, g)]
-                gens.append(acc)
-    ws = WSubspace(n, mode, tuple(tuple(v) for v in row_space_basis(gens)))
-    _W_CACHE[key] = ws
-    return ws
+    for terms in _w_generators(n, mode):
+        v = [Fraction(0)] * n ** 4
+        for a, b, c, d in terms:
+            v[((a * n + b) * n + c) * n + d] += 1
+        gens.append(v)
+    return WSubspace(n, mode, tuple(tuple(v) for v in row_space_basis(gens)))
 
 
-def _g_eval(A, w):
-    # G(v) = ((v1 v2) v3) v4 - (v1 v2)(v3 v4), extended linearly
+def _g_vanishes_on_w(A, mode):
+    """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
+    generator, stopping at the first that is not."""
     n = A.n
-    acc = [Fraction(0)] * n
-    for flat, coef in enumerate(w):
-        if not coef:
-            continue
-        l = flat % n
-        k = (flat // n) % n
-        j = (flat // n ** 2) % n
-        i = flat // n ** 3
-        v12 = A.c[i][j]
-        t1 = mul_vec(A, mul_vec(A, v12, basis_vec(n, k)), basis_vec(n, l))
-        t2 = mul_vec(A, v12, A.c[k][l])
-        for m in range(n):
-            acc[m] += coef * (t1[m] - t2[m])
-    return acc
+    memo = {}
+
+    def g(a, b, c, d):
+        key = (a, b, c, d)
+        if key not in memo:
+            ab = A.c[a][b]
+            t1 = mul_vec(A, mul_vec(A, ab, basis_vec(n, c)), basis_vec(n, d))
+            t2 = mul_vec(A, ab, A.c[c][d])
+            memo[key] = [x - y for x, y in zip(t1, t2)]
+        return memo[key]
+
+    for terms in _w_generators(n, mode):
+        acc = [Fraction(0)] * n
+        for t in terms:
+            acc = [x + y for x, y in zip(acc, g(*t))]
+        if not vec_is_zero(acc):
+            return False
+    return True
 
 
 def jordan_w_check(A, mode):
-    """True iff ((v1 v2) v3) v4 = (v1 v2)(v3 v4) on every W basis vector."""
-    rep_comm = all(A.c[i][j] == A.c[j][i]
-                   for i in range(A.n) for j in range(i + 1, A.n))
-    if not rep_comm:
+    """True iff ((v1 v2) v3) v4 = (v1 v2)(v3 v4) on all of W."""
+    if not _commutative(A):
         raise PreconditionError("jordan_w_check requires a commutative algebra")
-    ws = w_subspace_basis(A.n, mode)
-    return all(vec_is_zero(_g_eval(A, w)) for w in ws.basis)
+    return _g_vanishes_on_w(A, mode)
 
 
 def comul_vec(C, v):
@@ -396,44 +366,22 @@ def comul_vec(C, v):
     return out
 
 
-def comul_mat(C):
-    """eta as an n^2 x n matrix (column k = eta(e_k))."""
-    cols = [comul_vec(C, basis_vec(C.n, k)) for k in range(C.n)]
-    return mat_from_columns(cols)
-
-
 def coalgebra_props(C):
-    n = C.n
-    h = comul_mat(C)
-    tau = ybcore.twist(n).mat
-    cocomm = mat_mul(tau, h) == h
-    ident = mat_identity(n)
-    coassoc = mat_mul(kron(h, ident), h) == mat_mul(kron(ident, h), h)
-    return CoPropReport(cocomm, coassoc)
+    A = dualize_co(C)
+    return CoPropReport(_commutative(A), _associative(A))
 
 
 def jordan_co_check(C, mode):
     """Dual W relation: both four-fold comultiplications agree inside W.
 
-    Computes D = (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta column
-    by column and requires the orthogonal projection of each column onto W
-    to vanish.
+    The difference (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta must
+    be orthogonal to W, which is the W relation of the dual algebra (see the
+    module doc).
     """
-    if not coalgebra_props(C).cocommutative:
+    A = dualize_co(C)
+    if not _commutative(A):
         raise PreconditionError("jordan_co_check requires a cocommutative coalgebra")
-    n = C.n
-    h = comul_mat(C)
-    i1 = mat_identity(n)
-    i2 = mat_identity(n ** 2)
-    two = mat_mul(kron(h, i1), h)                       # V -> V^(x3)
-    d = mat_sub(mat_mul(kron(h, i2), two), mat_mul(kron(i2, h), two))
-    ws = w_subspace_basis(n, mode)
-    basis = [list(b) for b in ws.basis]
-    for k in range(n):
-        col = [d.entry(r, k) for r in range(n ** 4)]
-        if not vec_is_zero(project_onto(basis, col)):
-            return False
-    return True
+    return _g_vanishes_on_w(A, mode)
 
 
 def theorem22_instance(beta):
@@ -558,14 +506,17 @@ def structure_to_json(obj):
 def structure_from_json(obj):
     from .exactla import rat_from_str
 
-    def t3(table):
-        return [[[rat_from_str(x) for x in row] for row in plane]
-                for plane in table]
-
+    if not isinstance(obj, dict):
+        raise ValueError("a structure must be a JSON object")
     kind = obj.get("kind")
     basis = list(obj["basis"])
     if int(obj["dim"]) != len(basis):
         raise ValueError("dim does not match basis length")
+    if not basis:
+        raise ValueError("dim must be at least 1")
+
+    def t3(table):
+        return _frac_table(table, len(basis), kind, rat_from_str)
     if kind == "algebra":
         unit = obj.get("unit")
         if unit is not None:

@@ -8,7 +8,8 @@ Every identity on V(x)3 is decided by slot action: `act` applies an operator
 R to slot pair (1,2), (2,3) or (1,3) of a sparse vector of integer
 numerators, so R12 = R(x)I, R23 = I(x)R and R13 = (I(x)tau)(R(x)I)(I(x)tau)
 are never formed as n^3 x n^3 matrices.  Each check pushes the basis vectors
-e_c through both words of an identity.  Both words are products of the same
+e_c (the restricted braid check: its spanning vectors, scaled to integers)
+through both words of an identity.  Both words are products of the same
 factors, so their denominators agree and comparing numerators is exact.  A
 verdict stops at the first column that differs; a witness is the row-major
 first mismatch of the dense difference (smallest output index, then smallest
@@ -17,8 +18,7 @@ input column).
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactla import (Mat, mat_from_columns, mat_identity, mat_inverse,
-                      mat_is_zero, mat_mul)
+from .exactla import Mat, mat_identity, mat_inverse, mat_mul
 
 
 class LinOp2:
@@ -155,8 +155,7 @@ def lift(r, pos):
 # words of an identity hold the same factors, so their numerators share one
 # denominator: the product of the factors' denominators.
 
-def _apply_word(word, c):
-    vec = {c: 1}
+def _apply_word(word, vec):
     for op, pos in reversed(word):
         vec = act(op, pos, vec)
     return vec
@@ -165,7 +164,7 @@ def _apply_word(word, c):
 def _columns(lhs, rhs):
     # (c, lhs e_c, rhs e_c) for every basis vector e_c of V(x)3
     for c in range(lhs[0][0].n ** 3):
-        yield c, _apply_word(lhs, c), _apply_word(rhs, c)
+        yield c, _apply_word(lhs, {c: 1}), _apply_word(rhs, {c: 1})
 
 
 def _words_agree(lhs, rhs):
@@ -211,11 +210,6 @@ def _yb_words(r, s, t):
     if not (r.n == s.n == t.n):
         raise ValueError("dim mismatch")
     return ((r, 12), (s, 13), (t, 23)), ((t, 23), (s, 13), (r, 12))
-
-
-def braid_diff(r):
-    """R12 R23 R12 - R23 R12 R23 as a matrix on V^(x3)."""
-    return _words_diff(*_braid_words(r))
 
 
 def braid_check(r):
@@ -275,16 +269,25 @@ def wxz_check(w, x, z):
 
 
 def restricted_braid_check(r, spanning):
-    """True iff the braid difference kills every spanning vector of V^(x3)."""
+    """True iff the braid difference kills every spanning vector of V^(x3).
+
+    Each rational vector is scaled to integer numerators, which leaves its
+    kernel membership unchanged, and pushed through both braid words."""
     n3 = r.n ** 3
     for v in spanning:
         if len(v) != n3:
             raise ValueError("spanning vector dim %d != %d" % (len(v), n3))
-    if not spanning:
-        return True
-    d = braid_diff(r)
-    cols = mat_from_columns(spanning)
-    return mat_is_zero(mat_mul(d, cols))
+    lhs, rhs = _braid_words(r)
+    for v in spanning:
+        den = 1
+        for x in v:
+            if den % x.denominator:
+                den *= x.denominator
+        vec = {i: x.numerator * (den // x.denominator)
+               for i, x in enumerate(v) if x}
+        if _apply_word(lhs, vec) != _apply_word(rhs, vec):
+            return False
+    return True
 
 
 def linop2_to_json(r):

@@ -5,9 +5,13 @@ Everything runs in-process through main(argv); exit status semantics are
 """
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ybforge
 from ybforge import registry
 from ybforge.cli import main
 from ybforge.structures import structure_to_json
@@ -95,6 +99,55 @@ def test_check_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "algebra-check", str(path))
     assert code == 2
     assert "invalid JSON" in err
+
+
+# ---------- malformed input: exit 2 with one line on stderr ----------
+
+MALFORMED_FILES = {
+    "table-not-a-list": {"kind": "algebra", "dim": 2, "basis": ["a", "b"],
+                         "table": 5},
+    "top-level-list": [{"kind": "algebra"}],
+    "dim-0": {"kind": "algebra", "dim": 0, "basis": [], "table": []},
+}
+
+MALFORMED_ARGV = {
+    "split2-zero-denominator": ["algebra-check", "split2(1/0)"],
+    "z-length": ["ybe", "phi", "--lie", "gl11", "--z", "1,2", "--alpha", "1"],
+    "colors-not-rational": ["ybe", "super-colored", "--lie", "gl11",
+                            "--alpha-table", "0=1,1=2,2=3",
+                            "--beta-table", "0=1,1=2,2=4", "--colors", "abc"],
+}
+
+
+def assert_rejected(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_structure_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_FILES[name]))
+    assert_rejected(*run(capsys, "algebra-check", str(path)))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ARGV))
+def test_malformed_argument_exits_2(capsys, name):
+    assert_rejected(*run(capsys, *MALFORMED_ARGV[name]))
+
+
+def test_malformed_input_in_a_fresh_process_has_no_traceback(tmp_path):
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps(MALFORMED_FILES["dim-0"]))
+    src = os.path.dirname(os.path.dirname(ybforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ybforge.cli", "algebra-check",
+                           str(path)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 # ---------- examples ----------

@@ -332,13 +332,13 @@ def test_jordan_r_restricted_sym2(abc, restricted, full):
     assert rep.restricted == restricted
     assert rep.full == full
     assert not rep.unit_adjoined
-    assert rep.family_size == 8192
+    assert rep.family_size == 60
 
 
 def test_jordan_r_restricted_t21_is_unconditional():
     rep = jordan_r_restricted(registry.build("t21", -1, -1), 1, 1, 1)
     assert rep.restricted and rep.full and rep.unit_adjoined
-    assert rep.family_size == 512
+    assert rep.family_size == 16
 
 
 def test_jordan_r_restricted_rejects_non_jordan():

@@ -20,7 +20,6 @@ def test_degree_bounds_known_tags():
     assert degree_bounds("colored")["u"] == 3
     assert degree_bounds("oneparam")["t1"] == 6
     assert degree_bounds("wxz38") == {"lambda": 3, "mu": 3}
-    assert degree_bounds("jordan-identity") == {"s": 3}
     # callers get a copy, not the table itself
     degree_bounds("wxz38")["lambda"] = 99
     assert degree_bounds("wxz38")["lambda"] == 3

@@ -3,20 +3,23 @@
 The reference lifts R to V(x)3 with explicit Kronecker products, and R13 as
 P (R(x)I) P with P the permutation matrix that swaps slots 2 and 3.  Braid
 and QYBE words are then multiplied as dense matrices, and the witness is the
-row-major first mismatch of the two products.  Random sparse rational
-operators for n = 2 and 3 come from a seeded hypothesis strategy.
+row-major first mismatch of the two products.  The restricted braid check
+is compared with the dense braid difference applied to rational vectors.
+Random sparse rational operators for n = 2 and 3 come from a seeded
+hypothesis strategy.
 """
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from ybforge.constructions import r_algebra
-from ybforge.exactla import (Mat, first_mismatch, kron, mat_from_rows,
-                             mat_identity, mat_mul, mat_sub)
+from ybforge.exactla import (Mat, first_mismatch, kron, mat_apply,
+                             mat_from_rows, mat_identity, mat_mul, mat_sub)
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
 from ybforge.ybcore import (LinOp2, braid_check, braid_witness, lift,
-                            qybe_check, qybe_witness, twist, yb_commutator)
+                            qybe_check, qybe_witness, restricted_braid_check,
+                            twist, yb_commutator)
 
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None,
                   database=None)
@@ -127,6 +130,39 @@ def test_yb_commutator_matches_dense(ops):
 @given(operators(), st.sampled_from((12, 13, 23)))
 def test_lift_matches_dense(r, pos):
     assert lift(r, pos).mat == dense_lift(r, pos)
+
+
+@st.composite
+def operator_and_vectors(draw):
+    r = draw(operators())
+    n3 = r.n ** 3
+    diff = mat_sub(*braid_sides(r))
+    cols = range(n3)
+    if draw(st.booleans()):
+        # only columns where both braid words agree, so the check passes
+        cols = [c for c in cols if all(diff.entry(i, c) == 0 for i in range(n3))]
+    vecs = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = [Fraction(0)] * n3
+        for c in cols:
+            v[c] = draw(ENTRY)
+        vecs.append(v)
+    return r, diff, vecs
+
+
+def test_restricted_braid_check_matches_dense():
+    seen = set()
+
+    @SEEDED
+    @given(operator_and_vectors())
+    def check(case):
+        r, diff, vecs = case
+        expect = all(not any(mat_apply(diff, v)) for v in vecs)
+        assert restricted_braid_check(r, vecs) == expect
+        seen.add(expect)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_known_braid_solutions_pass_both_ways():
