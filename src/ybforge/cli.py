@@ -3,9 +3,10 @@
 Every subcommand produces a report: a list of named checks, each with a
 boolean verdict and optional certification flag, witness, and notes.  Exit
 status is 0 when every verdict in the report is true, 1 when at least one
-is false, and 2 on bad input (parse errors, unknown names, violated
-preconditions, undersized grids).  Informational values that should not
-flip the exit status are carried in notes, not verdicts.
+is false, 2 on bad input (parse errors, unknown names, violated
+preconditions, undersized grids), and 3 on an internal error, reported as
+one line without a traceback.  Informational values that should not flip
+the exit status are carried in notes, not verdicts.
 """
 import argparse
 import json
@@ -291,7 +292,7 @@ def _load_operator(path):
     doc = _load_json(path)
     try:
         return linop2_from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError("bad operator JSON: %s" % exc)
 
 
@@ -648,6 +649,12 @@ def main(argv=None):
     except (CliInputError, GridConfigError, PreconditionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input: one line, no traceback,
+        # and a status that cannot be mistaken for a failed verdict
+        text = " ".join(str(exc).split())
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, text))
+        return 3
     quiet = (args.command == "examples" and args.action == "list")
     if not quiet:
         stream = sys.stderr if report.to_stderr else sys.stdout

@@ -2,12 +2,20 @@
 
 Every family here is produced by one bilinear template on basis columns:
 some combination of ab(x)1, 1(x)ab, the swap b(x)a, and the diagonal a(x)b.
-Verification goes through ybcore (exact identities by slot action) and
-paramgrid (grid certification for the parameter-dependent claims).
+Verification goes through ybcore (exact identities by slot action).  The
+one-parameter and two-color families are linear in their parameters, so
+they carry their coefficient operators and are decided for all parameter
+values at once by exact coefficient expansion (`yb_vanishes_expanded`);
+the grid only orders the search for a witness and, with the paramgrid
+degree bounds, sets the `certified` flag.  Table-driven colored families
+are decided by exhausting their color set.
 """
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Optional
 
 from .exactla import Mat, mat_from_columns, mat_identity, mat_mul, mat_scale, mat_transpose
@@ -15,7 +23,7 @@ from .paramgrid import GridConfigError, GridResult, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
 from .ybcore import (LinOp2, braid_check, compose, restricted_braid_check,
-                     twist, yb_vanishes)
+                     twist, yb_vanishes, yb_vanishes_expanded)
 
 
 class NotYangBaxterError(ValueError):
@@ -29,16 +37,22 @@ class ColoredFamily:
     params: dict
     evaluator: Callable            # (u, v) -> LinOp2
     color_set: Optional[tuple] = None  # finite color set, when the family has one
+    # (U, V) over one denominator with R(u,v) = u U + v V, when the family is
+    # linear in its colors (and has no color set)
+    coefficients: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class OneParamFamily:
     n: int
     q: Fraction
-    evaluator: Callable            # (t) -> LinOp2
+    coefficients: tuple            # (P, Q) over one denominator: S(t) = t P + Q
 
     def __call__(self, t):
-        return self.evaluator(t)
+        t = Fraction(t)
+        if t == 0:
+            raise ValueError("t must be nonzero")
+        return _combine(self.coefficients, (t, 1))
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,34 @@ def _formula_op(A, unit, c_ab1, c_1ab, c_swap, c_diag):
                 col[i * n + j] -= c_diag
             cols.append(col)
     return LinOp2(n, mat_from_columns(cols))
+
+
+def _common_den(ops):
+    """The operators rescaled to one shared denominator, the lcm of theirs."""
+    den = lcm(*(op.mat.den for op in ops))
+    return tuple(LinOp2(op.n, Mat(op.mat.rows, op.mat.cols,
+                                  [x * (den // op.mat.den) for x in op.mat.num],
+                                  den, _reduced=True))
+                 for op in ops)
+
+
+def _combine(ops, coeffs):
+    """sum coeffs[i] * ops[i] for operators over one shared denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    num = [sum(map(mul, ints, col)) for col in zip(*(op.mat.num for op in ops))]
+    op = ops[0]
+    return LinOp2(op.n, Mat(op.mat.rows, op.mat.cols, num, scale * op.mat.den))
+
+
+def _grid_witness(names, grid, factors):
+    """The first point of grid^3 in product order where [R,S,T] != 0 for
+    (R, S, T) = factors(*point), as a dict over names; None if there is none."""
+    for point in itertools.product(grid, repeat=3):
+        if not yb_vanishes(*factors(*point)):
+            return dict(zip(names, point))
+    return None
 
 
 def r_algebra(A, alpha, beta, gamma):
@@ -171,28 +213,39 @@ def matrix_form8(A2, alpha, beta):
 
 
 def r_colored(A, p, q):
-    """R(u,v)(a(x)b) = p(u-v) 1(x)ab + q(u-v) ab(x)1 - (pu-qv) b(x)a."""
+    """R(u,v)(a(x)b) = p(u-v) 1(x)ab + q(u-v) ab(x)1 - (pu-qv) b(x)a.
+
+    R(u,v) = u U + v V, where U is R(1,0) and V is R(0,1); the family
+    carries both as its coefficients and evaluates every (u, v) from them.
+    """
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
     p, q = Fraction(p), Fraction(q)
+    coefficients = _common_den((_formula_op(A, unit, q, p, p, Fraction(0)),
+                                _formula_op(A, unit, -q, -p, -q, Fraction(0))))
 
     def evaluate(u, v):
-        u, v = Fraction(u), Fraction(v)
-        return _formula_op(A, unit, q * (u - v), p * (u - v), p * u - q * v,
-                           Fraction(0))
+        return _combine(coefficients, (u, v))
 
-    return ColoredFamily("colored", A.n, {"p": p, "q": q}, evaluate)
+    return ColoredFamily("colored", A.n, {"p": p, "q": q}, evaluate,
+                         coefficients=coefficients)
 
 
 def colored_qybe_verify(F, grid):
-    """Check R12(u,v) R13(u,w) R23(v,w) = R23(v,w) R13(u,w) R12(u,v) on grid^3.
+    """Check R12(u,v) R13(u,w) R23(v,w) = R23(v,w) R13(u,w) R12(u,v).
 
-    For the polynomial family (tag "colored") a grid of at least 4 distinct
-    points certifies the identity for all colors (degree <= 3 per variable).
-    For table-driven families the grid must lie inside the declared color
-    set, and the verdict is certified when it covers the whole set
-    (exhaustion).
+    A family that carries its coefficients (R(u,v) = u U + v V, tag
+    "colored") is decided for all colors at once by exact expansion in the
+    monomials of (u, v, w).  The grid then only orders the witness search
+    and sets `certified`: at least 4 distinct points (degree <= 3 per
+    variable) certify.  On a FAIL the witness is the first failing point of
+    grid^3; when no grid point fails (a grid too small to certify) the
+    verdict is still FAIL, with no witness.
+
+    Any other family is evaluated at every point of grid^3.  For
+    table-driven families the grid must lie inside the declared color set,
+    and the verdict is certified when it covers the whole set (exhaustion).
     """
     grid = [Fraction(g) for g in grid]
     if len(set(grid)) != len(grid):
@@ -206,47 +259,53 @@ def colored_qybe_verify(F, grid):
     else:
         bound = degree_bounds("colored")["u"]
         certified = len(grid) >= bound + 1
-    ops = {}
-
-    def op(u, v):
-        if (u, v) not in ops:
-            ops[u, v] = F.evaluator(u, v)
-        return ops[u, v]
-
+    exact = None
+    if F.coefficients is not None:
+        u, v = F.coefficients
+        # monomials are exponents of (u, v, w)
+        exact = yb_vanishes_expanded(
+            (((1, 0, 0), u), ((0, 1, 0), v)),     # R12(u, v)
+            (((1, 0, 0), u), ((0, 0, 1), v)),     # R13(u, w)
+            (((0, 1, 0), u), ((0, 0, 1), v)))     # R23(v, w)
     witness = None
-    for u, v, w in itertools.product(grid, repeat=3):
-        if not yb_vanishes(op(u, v), op(u, w), op(v, w)):
-            witness = {"u": u, "v": v, "w": w}
-            break
+    if not exact:
+        op = functools.cache(F.evaluator)
+        witness = _grid_witness(("u", "v", "w"), grid,
+                                lambda u, v, w: (op(u, v), op(u, w), op(v, w)))
+    verdict = witness is None if exact is None else exact
     cert = {name: (len(grid), bound) for name in ("u", "v", "w")}
     return GridResult("colored QYBE for %s family" % F.tag,
-                      witness is None, certified and witness is None,
-                      witness, cert)
+                      verdict, certified and verdict, witness, cert)
 
 
 def s_oneparam(A, q):
-    """S(t)(a(x)b) = (t-1) 1(x)ab + q(t-1) ab(x)1 - (t-q) b(x)a, t nonzero."""
+    """S(t)(a(x)b) = (t-1) 1(x)ab + q(t-1) ab(x)1 - (t-q) b(x)a, t nonzero.
+
+    S(t) = t P + Q with P = (1 (x) ab + q ab (x) 1 - b (x) a) and
+    Q = -(1 (x) ab + q ab (x) 1 - q b (x) a); the family carries both.
+    """
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
     q = Fraction(q)
-
-    def evaluate(t):
-        t = Fraction(t)
-        if t == 0:
-            raise ValueError("t must be nonzero")
-        return _formula_op(A, unit, q * (t - 1), t - 1, t - q, Fraction(0))
-
-    return OneParamFamily(A.n, q, evaluate)
+    return OneParamFamily(A.n, q, _common_den(
+        (_formula_op(A, unit, q, Fraction(1), Fraction(1), Fraction(0)),
+         _formula_op(A, unit, -q, Fraction(-1), -q, Fraction(0)))))
 
 
 def oneparam_verify(A, q, tgrid):
     """Check S12(t1/t2) S13(t1/t3) S23(t2/t3) = S23(t2/t3) S13(t1/t3) S12(t1/t2).
 
     Additive spectral parameters are realized multiplicatively (t = e^lambda,
-    differences become ratios), so the grid must avoid 0.  After clearing
-    the t denominators both sides have degree <= 6 per t variable; a grid of
-    7 distinct nonzero points certifies the identity.
+    differences become ratios), so the grid must avoid 0.  The verdict comes
+    from exact expansion: with x = t1/t2 and y = t2/t3, S12 = x P + Q,
+    S13 = xy P + Q and S23 = y P + Q, and the identity holds for all nonzero
+    t iff every coefficient of the monomials x^a y^b vanishes.  The grid
+    only orders the witness search and sets `certified`: after clearing the
+    t denominators both sides have degree <= 6 per t variable, so 7 distinct
+    nonzero points certify.  On a FAIL the witness is the first failing
+    point of the grid^3; when no grid point fails (a grid too small to
+    certify) the verdict is still FAIL, with no witness.
     """
     fam = s_oneparam(A, q)
     tgrid = [Fraction(t) for t in tgrid]
@@ -256,22 +315,21 @@ def oneparam_verify(A, q, tgrid):
         raise GridConfigError("t-grid points must be nonzero")
     bound = degree_bounds("oneparam")["t1"]
     certified = len(tgrid) >= bound + 1
-    ops = {}
-
-    def op(ratio):
-        if ratio not in ops:
-            ops[ratio] = fam(ratio)
-        return ops[ratio]
-
+    p_op, q_op = fam.coefficients
+    # monomials are exponents of (x, y)
+    verdict = yb_vanishes_expanded(
+        (((1, 0), p_op), ((0, 0), q_op)),         # S12(x)
+        (((1, 1), p_op), ((0, 0), q_op)),         # S13(xy)
+        (((0, 1), p_op), ((0, 0), q_op)))         # S23(y)
     witness = None
-    for t1, t2, t3 in itertools.product(tgrid, repeat=3):
-        if not yb_vanishes(op(t1 / t2), op(t1 / t3), op(t2 / t3)):
-            witness = {"t1": t1, "t2": t2, "t3": t3}
-            break
+    if not verdict:
+        op = functools.cache(fam)
+        witness = _grid_witness(
+            ("t1", "t2", "t3"), tgrid,
+            lambda t1, t2, t3: (op(t1 / t2), op(t1 / t3), op(t2 / t3)))
     cert = {name: (len(tgrid), bound) for name in ("t1", "t2", "t3")}
     return GridResult("one-parameter YBE at q=%s" % q,
-                      witness is None, certified and witness is None,
-                      witness, cert)
+                      verdict, certified and verdict, witness, cert)
 
 
 def wxz_thm38(A, lam, mu):

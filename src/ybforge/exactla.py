@@ -22,7 +22,10 @@ _I64_LIMIT = 2 ** 63
 
 
 def rat_from_str(s):
-    """Parse "p/q" or "p" into a Rat."""
+    """Parse "p/q" or "p" into a Rat; anything but a string is a TypeError."""
+    if not isinstance(s, str):
+        raise TypeError("expected a rational as a string, got %s %r"
+                        % (type(s).__name__, s))
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

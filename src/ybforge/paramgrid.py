@@ -77,6 +77,9 @@ def grid_verify(job):
 #    denominators t2*t3^2 from the triple products leaves polynomials of
 #    degree <= 2 per ti per factor, <= 6 per side; q appears in three
 #    factors, degree <= 3 <= 6.
+# The colored and oneparam verdicts come from exact coefficient expansion in
+# constructions, not from the grid; their bounds here only decide the
+# `certified` flag and the CLI's refusal of undersized grids.
 #  - wxz38: W, X, Z entries are linear in lambda resp. mu; the commutator
 #    conditions are triple products, degree <= 3.
 # The Jordan identity needs no grid: structures decides it exactly by

@@ -14,8 +14,14 @@ factors, so their denominators agree and comparing numerators is exact.  A
 verdict stops at the first column that differs; a witness is the row-major
 first mismatch of the dense difference (smallest output index, then smallest
 input column).
+
+A factor that is polynomial in parameters is passed to
+`yb_vanishes_expanded` as (monomial, operator) pieces.  The pieces of one
+factor share one denominator, so every word of the expansion carries the
+same denominator and its numerators compare exactly too.
 """
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .exactla import Mat, mat_identity, mat_inverse, mat_mul
@@ -256,6 +262,55 @@ def yb_vanishes(r, s, t):
     return _words_agree(*_yb_words(r, s, t))
 
 
+def _expand_word(word, term):
+    # (monomial, numerators) for each choice of one piece per factor, starting
+    # from term and applying the factors right to left; choices that vanish
+    # are dropped
+    terms = [term]
+    for pieces, pos in reversed(word):
+        terms = [(tuple(map(add, m, mono)), act(op, pos, v))
+                 for m, v in terms for mono, op in pieces]
+        terms = [(m, v) for m, v in terms if v]
+    return terms
+
+
+def yb_vanishes_expanded(r, s, t):
+    """True iff [R,S,T] = 0 for every value of the parameters.
+
+    R, S and T are polynomial in the parameters, each given as a sequence of
+    (monomial, LinOp2) pieces: the monomial is a tuple of exponents, and the
+    factor is the sum of monomial * operator.  Both words R12 S13 T23 and
+    T23 S13 R12 are expanded into one word per choice of pieces; each basis
+    vector e_c is pushed through every word with `act`, and the results are
+    grouped by the product monomial.  The identity holds for all parameter
+    values iff every group's coefficient column is zero, so the verdict stops
+    at the first monomial of the first column whose coefficient is nonzero.
+
+    The pieces of one factor must share one denominator (their mat.den), so
+    that the numerators of all words agree in denominator and compare
+    exactly.
+    """
+    for pieces in (r, s, t):
+        if len({op.mat.den for _m, op in pieces}) != 1:
+            raise ValueError("pieces of a factor must share one denominator")
+    n = r[0][1].n
+    if any(op.n != n for pieces in (r, s, t) for _m, op in pieces):
+        raise ValueError("dim mismatch")
+    lhs = ((r, 12), (s, 13), (t, 23))
+    rhs = ((t, 23), (s, 13), (r, 12))
+    one = (0,) * len(r[0][0])
+    for c in range(n ** 3):
+        groups = {}
+        for word, sign in ((lhs, 1), (rhs, -1)):
+            for mono, vec in _expand_word(word, (one, {c: 1})):
+                acc = groups.setdefault(mono, {})
+                for k, x in vec.items():
+                    acc[k] = acc.get(k, 0) + sign * x
+        if any(any(acc.values()) for acc in groups.values()):
+            return False
+    return True
+
+
 def wxz_check(w, x, z):
     """The four commutator conditions [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]."""
     if not (w.n == x.n == z.n):
@@ -299,8 +354,17 @@ def linop2_to_json(r):
 
 def linop2_from_json(obj):
     from .exactla import mat_from_rows, rat_from_str
-    if obj.get("kind") != "linop2":
+    if not isinstance(obj, dict) or obj.get("kind") != "linop2":
         raise ValueError("not a linop2 object")
-    n = int(obj["n"])
-    rows = [[rat_from_str(x) for x in row] for row in obj["mat"]]
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer, got %r" % (n,))
+    mat = obj["mat"]
+    if not isinstance(mat, list) or len(mat) != n * n:
+        raise ValueError("mat must be a list of %d rows" % (n * n))
+    for row in mat:
+        if not isinstance(row, list) or len(row) != n * n:
+            raise ValueError("each row of mat must be a list of %d entries"
+                             % (n * n))
+    rows = [[rat_from_str(x) for x in row] for row in mat]
     return LinOp2(n, mat_from_rows(rows))

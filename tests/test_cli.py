@@ -1,7 +1,8 @@
 """End-to-end CLI tests: exit codes, report text, JSON payloads, file flow.
 
 Everything runs in-process through main(argv); exit status semantics are
-0 = all verdicts true, 1 = some verdict false, 2 = bad input.
+0 = all verdicts true, 1 = some verdict false, 2 = bad input, 3 = internal
+error.
 """
 import io
 import json
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import ybforge
+import ybforge.cli
 from ybforge import registry
 from ybforge.cli import main
 from ybforge.structures import structure_to_json
@@ -130,6 +132,52 @@ def test_malformed_structure_file_exits_2(capsys, tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED_FILES[name]))
     assert_rejected(*run(capsys, "algebra-check", str(path)))
+
+
+NON_STRING_RATIONALS = {
+    "table": {"kind": "algebra", "dim": 1, "basis": ["a"], "table": [[[1]]]},
+    "unit": {"kind": "algebra", "dim": 1, "basis": ["a"],
+             "table": [[["1"]]], "unit": [1]},
+    "theta": {"kind": "colorlie", "dim": 1, "basis": ["a"], "group": [2],
+              "grading": [[0]], "theta": [[[0], [0], 1], [[0], [1], "1"],
+                                          [[1], [0], "1"], [[1], [1], "1"]],
+              "table": [[["0"]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_STRING_RATIONALS))
+def test_non_string_rational_in_structure_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NON_STRING_RATIONALS[name]))
+    assert_rejected(*run(capsys, "algebra-check", str(path)))
+
+
+MALFORMED_OPERATORS = {
+    "mat-not-a-list": {"kind": "linop2", "n": 2, "mat": 5},
+    "short-row": {"kind": "linop2", "n": 1, "mat": [["1", "0"]]},
+    "row-not-a-list": {"kind": "linop2", "n": 1, "mat": ["1"]},
+    "number-entry": {"kind": "linop2", "n": 1, "mat": [[1]]},
+    "n-not-an-integer": {"kind": "linop2", "n": [1], "mat": [["1"]]},
+    "top-level-list": [{"kind": "linop2"}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_OPERATORS))
+def test_malformed_operator_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(MALFORMED_OPERATORS[name]))
+    assert_rejected(*run(capsys, "ybe", "verify", str(path)))
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(_args):
+        raise RuntimeError("simulated fault\nsecond line")
+
+    monkeypatch.setattr(ybforge.cli, "cmd_dualize", broken)
+    code, out, err = run(capsys, "dualize", "dual2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulated fault second line\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_ARGV))
