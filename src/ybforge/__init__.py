@@ -1,13 +1,10 @@
 """ybforge: exact construction and verification of Yang-Baxter operator
 families and Jordan (co)algebra structures from structure-constant data.
 
-All arithmetic is exact rational; every identity check is a matrix equality
-or a degree-certified grid test.  A compiled int64 kernel accelerates the
-matrix products when it is importable (see ybforge._kernels); set
-YBFORGE_PURE=1 to force the pure-Python path.
+All arithmetic is exact rational and pure Python; every identity check is
+a matrix equality, an exact coefficient expansion or a degree-certified
+grid test.
 """
-from ._kernels import ACTIVE_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["ACTIVE_BACKEND", "__version__"]
+__all__ = ["__version__"]

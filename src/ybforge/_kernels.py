@@ -1,14 +1,11 @@
-"""Pure-Python integer matrix kernels.
+"""Integer matrix kernels behind `exactla`.
 
-Operates on flat row-major lists of Python ints, so results are exact for
-arbitrary magnitudes.  The compiled backend mirrors these signatures for the
-int64-safe fast path; this module is the fallback and the big-number path.
+Both operate on flat row-major lists of Python ints, so results are exact
+for arbitrary magnitudes.
 """
 
-BACKEND = "pure"
 
-
-def matmul_ints(a, b, ra, ca, cb):
+def matmul_pure(a, b, ra, ca, cb):
     """Flat row-major product of an ra*ca and a ca*cb integer matrix."""
     out = [0] * (ra * cb)
     for i in range(ra):
@@ -23,7 +20,7 @@ def matmul_ints(a, b, ra, ca, cb):
     return out
 
 
-def kron_ints(a, b, ra, ca, rb, cb):
+def kron_pure(a, b, ra, ca, rb, cb):
     """Kronecker product; entry ((i*rb+k),(j*cb+l)) = a[i,j]*b[k,l]."""
     cols = ca * cb
     out = [0] * (ra * rb * cols)

@@ -4,9 +4,10 @@ Every subcommand produces a report: a list of named checks, each with a
 boolean verdict and optional certification flag, witness, and notes.  Exit
 status is 0 when every verdict in the report is true, 1 when at least one
 is false, 2 on bad input (parse errors, unknown names, violated
-preconditions, undersized grids), and 3 on an internal error, reported as
-one line without a traceback.  Informational values that should not flip
-the exit status are carried in notes, not verdicts.
+preconditions, undersized or oversized grids, unwritable output paths), and
+3 on an internal error, reported as one line without a traceback.
+Informational values that should not flip the exit status are carried in
+notes, not verdicts.
 """
 import argparse
 import json
@@ -27,7 +28,7 @@ from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          check_algebra_props, coalgebra_props, dualize,
                          dualize_co, jordan_co_check, jordan_w_check,
                          structure_from_json, structure_to_json,
-                         validate_colorlie, validate_superlie)
+                         validate_colorlie)
 from .ybcore import (braid_qybe_equiv, braid_witness, is_yb_operator,
                      linop2_from_json, linop2_to_json, qybe_witness,
                      wxz_check)
@@ -134,6 +135,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise CliInputError("%s is not ASCII text: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise CliInputError("invalid JSON in %s: %s" % (path, exc))
 
@@ -145,8 +148,11 @@ def _write_json(doc, path, report=None):
         if report is not None:
             report.to_stderr = True
         return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError("cannot write %s: %s" % (path, exc))
 
 
 def load_structure(source):
@@ -174,6 +180,11 @@ def _require_kind(obj, kind, what):
     return obj
 
 
+# Largest grid size per variable: a FAIL's witness search visits at most
+# GRID_MAX^3 points.  Larger sizes are refused before any grid is built.
+GRID_MAX = 32
+
+
 def _grid_points(arg_value, tag, var, nonzero=False):
     """Resolve grid size from --grid, then YBFORGE_GRID, then the bound."""
     bound = degree_bounds(tag)[var]
@@ -193,6 +204,9 @@ def _grid_points(arg_value, tag, var, nonzero=False):
         raise CliInputError(
             "grid size %d is below the certification bound %d for %s"
             % (size, bound + 1, tag))
+    if size > GRID_MAX:
+        raise CliInputError("grid size %d is above the limit %d"
+                            % (size, GRID_MAX))
     return default_grid(size, nonzero=nonzero)
 
 
@@ -234,7 +248,7 @@ def cmd_algebra_check(args):
         else:
             report.note("jordan-co skipped: coproduct is not cocommutative")
     elif isinstance(obj, SuperLieSpec):
-        rep = validate_superlie(obj)
+        rep = validate_colorlie(obj)
         props = {"antisymmetric": rep.antisym, "jacobi": rep.jacobi}
         report.note("kind=superlie dim=%d" % obj.n)
         report.add("antisymmetric", rep.antisym)
@@ -498,17 +512,6 @@ def cmd_dualize(args):
     return report
 
 
-# --- bench ---------------------------------------------------------------
-
-def cmd_bench(args):
-    from . import bench
-    report = Report("bench")
-    # in --json mode the table rows become report notes, so stdout is JSON only
-    out = report.note if args.json else print
-    bench.run(size=args.size, reps=args.reps, chain=args.chain, out=out)
-    return report
-
-
 # --- parser --------------------------------------------------------------
 
 def _add_json(parser):
@@ -630,13 +633,6 @@ def build_parser():
     p.add_argument("-o", "--output", default=None)
     _add_json(p)
     p.set_defaults(func=cmd_dualize)
-
-    p = sub.add_parser("bench", help="compare the two arithmetic backends")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--chain", type=int, default=20)
-    _add_json(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

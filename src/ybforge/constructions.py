@@ -1,7 +1,10 @@
 """Operator families on A(x)A and L(x)L, with predicted verdicts and inverses.
 
-Every family here is produced by one bilinear template on basis columns:
-some combination of ab(x)1, 1(x)ab, the swap b(x)a, and the diagonal a(x)b.
+Every family here is produced by one bilinear template on basis columns,
+`_formula_op`: some combination of ab(x)z, z(x)ab, the swap b(x)a and the
+diagonal a(x)b, where ab is the product of an algebra (z its unit) or the
+bracket of a graded Lie structure (z central, the last two terms signed by
+the grading).
 Verification goes through ybcore (exact identities by slot action).  The
 one-parameter and two-color families are linear in their parameters, so
 they carry their coefficient operators and are decided for all parameter
@@ -85,9 +88,15 @@ def _require_unit(A):
     return A.unit
 
 
-def _formula_op(A, unit, c_ab1, c_1ab, c_swap, c_diag):
-    # column (i,j) = c_ab1*(e_i e_j)(x)1 + c_1ab*1(x)(e_i e_j)
-    #               - c_swap*e_j(x)e_i - c_diag*e_i(x)e_j
+def _formula_op(A, z, c_ab1, c_1ab, c_swap, c_diag, grading=None):
+    """The operator on V(x)V whose column (i,j) is
+
+        c_ab1 (e_i e_j)(x)z + c_1ab z(x)(e_i e_j)
+            - s (c_swap e_j(x)e_i + c_diag e_i(x)e_j),
+
+    with e_i e_j read from A.c (a product or a bracket table) and
+    s = (-1)^{|e_i||e_j|} under a Z2 grading, else 1.  Zero coefficients
+    are skipped."""
     n = A.n
     cols = []
     for i in range(n):
@@ -98,16 +107,19 @@ def _formula_op(A, unit, c_ab1, c_1ab, c_swap, c_diag):
                 for k in range(n):
                     if ab[k]:
                         for l in range(n):
-                            if unit[l]:
-                                prod = ab[k] * unit[l]
+                            if z[l]:
+                                prod = ab[k] * z[l]
                                 if c_ab1:
                                     col[k * n + l] += c_ab1 * prod
                                 if c_1ab:
                                     col[l * n + k] += c_1ab * prod
-            if c_swap:
-                col[j * n + i] -= c_swap
-            if c_diag:
-                col[i * n + j] -= c_diag
+            swap, diag = c_swap, c_diag
+            if grading and grading[i] and grading[j]:
+                swap, diag = -swap, -diag
+            if swap:
+                col[j * n + i] -= swap
+            if diag:
+                col[i * n + j] -= diag
             cols.append(col)
     return LinOp2(n, mat_from_columns(cols))
 
@@ -354,10 +366,6 @@ def wxz_from_colored(F, s, t):
     return F.evaluator(s, s), F.evaluator(s, t), F.evaluator(t, t)
 
 
-def _graded_sign(L, i, j):
-    return -1 if L.grading[i] and L.grading[j] else 1
-
-
 def phi_super(L, z, alpha):
     """phi(x(x)y) = alpha [x,y](x)z + (-1)^{|x||y|} y(x)x, with its formula
     inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x; their product is the
@@ -369,28 +377,10 @@ def phi_super(L, z, alpha):
             % (rep.even, rep.commutes))
     alpha = Fraction(alpha)
     z = [Fraction(x) for x in z]
-    n = L.n
-    cols_op, cols_inv = [], []
-    for i in range(n):
-        for j in range(n):
-            br = L.b[i][j]
-            sign = _graded_sign(L, i, j)
-            col_op = [Fraction(0)] * n ** 2
-            col_inv = [Fraction(0)] * n ** 2
-            if alpha:
-                for k in range(n):
-                    if br[k]:
-                        for l in range(n):
-                            if z[l]:
-                                col_op[k * n + l] += alpha * br[k] * z[l]
-                                col_inv[l * n + k] += alpha * br[k] * z[l]
-            col_op[j * n + i] += sign
-            col_inv[j * n + i] += sign
-            cols_op.append(col_op)
-            cols_inv.append(col_inv)
-    op = LinOp2(n, mat_from_columns(cols_op))
-    inv = LinOp2(n, mat_from_columns(cols_inv))
-    assert mat_mul(op.mat, inv.mat) == mat_identity(n ** 2), \
+    # the template subtracts its swap term, so c_swap = -1 adds y(x)x
+    op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
+    inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)
+    assert mat_mul(op.mat, inv.mat) == mat_identity(L.n ** 2), \
         "formula inverse failed"
     return PhiPair(op, inv)
 
@@ -413,28 +403,13 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
     for c in colors:
         if c not in atab or c not in btab:
             raise ValueError("tables must be total on the color set; missing %s" % c)
-    n = L.n
 
     def evaluate(u, v):
         u = Fraction(u)
-        au, bu = atab[u], btab[u]   # KeyError on colors outside the tables
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                br = L.b[i][j]
-                col = [Fraction(0)] * n ** 2
-                if au:
-                    for k in range(n):
-                        if br[k]:
-                            for l in range(n):
-                                if z[l]:
-                                    col[k * n + l] += au * br[k] * z[l]
-                if bu:
-                    col[i * n + j] += bu * _graded_sign(L, i, j)
-                cols.append(col)
-        return LinOp2(n, mat_from_columns(cols))
+        # KeyError on colors outside the tables
+        return _formula_op(L, z, atab[u], 0, 0, -btab[u], L.grading)
 
-    return ColoredFamily("superColored", n,
+    return ColoredFamily("superColored", L.n,
                          {"alpha": atab, "beta": btab}, evaluate, colors)
 
 

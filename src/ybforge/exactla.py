@@ -2,23 +2,16 @@
 
 Scalars are arbitrary-precision rationals (fractions.Fraction, aliased Rat).
 A Mat stores one common positive denominator and a flat row-major list of
-integer numerators, canonically reduced, so matrix products run on plain
-integer kernels.  Products dispatch to the compiled int64 kernel whenever an
-a-priori bound proves the accumulator cannot overflow; otherwise they fall
-back to the pure big-integer kernel.  Equality is exact everywhere; there is
-no tolerance anywhere in this package.
+integer numerators, canonically reduced, so matrix and Kronecker products
+run on the plain big-integer kernels of `_kernels`.  Equality is exact
+everywhere; there is no tolerance anywhere in this package.
 """
-from array import array
 from fractions import Fraction
 from math import gcd
 
 from . import _kernels
 
 Rat = Fraction
-
-# Entries of an ra*ca by ca*cb product are bounded by ca*max|a|*max|b|;
-# keeping that below 2**63 makes the int64 kernel exact.
-_I64_LIMIT = 2 ** 63
 
 
 def rat_from_str(s):
@@ -43,7 +36,7 @@ def rat_to_str(x):
 class Mat:
     """Dense exact matrix: integer numerators over one common denominator."""
 
-    __slots__ = ("rows", "cols", "num", "den", "_amax")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows, cols, num, den=1, _reduced=False):
         if len(num) != rows * cols:
@@ -62,12 +55,6 @@ class Mat:
         self.cols = cols
         self.num = num
         self.den = den
-        self._amax = None
-
-    def amax(self):
-        if self._amax is None:
-            self._amax = max(map(abs, self.num), default=0)
-        return self._amax
 
     def entry(self, i, j):
         return Fraction(self.num[i * self.cols + j], self.den)
@@ -118,34 +105,17 @@ def mat_identity(n):
     return Mat(n, n, num, 1, _reduced=True)
 
 
-def _mul_nums(a, b):
-    ra, ca, cb = a.rows, a.cols, b.cols
-    if _kernels.has_fast() and ca and a.amax() * b.amax() * ca < _I64_LIMIT:
-        fa = array("q", a.num)
-        fb = array("q", b.num)
-        out = array("q", bytes(8 * ra * cb))
-        _kernels.matmul_fast(fa, fb, out, ra, ca, cb)
-        return list(out)
-    return _kernels.matmul_pure(a.num, b.num, ra, ca, cb)
-
-
 def mat_mul(a, b):
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d by %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    return Mat(a.rows, b.cols, _mul_nums(a, b), a.den * b.den)
+    num = _kernels.matmul_pure(a.num, b.num, a.rows, a.cols, b.cols)
+    return Mat(a.rows, b.cols, num, a.den * b.den)
 
 
 def kron(a, b):
     ra, ca, rb, cb = a.rows, a.cols, b.rows, b.cols
-    if _kernels.has_fast() and a.amax() * b.amax() < _I64_LIMIT:
-        fa = array("q", a.num)
-        fb = array("q", b.num)
-        out = array("q", bytes(8 * ra * ca * rb * cb))
-        _kernels.kron_fast(fa, fb, out, ra, ca, rb, cb)
-        num = list(out)
-    else:
-        num = _kernels.kron_pure(a.num, b.num, ra, ca, rb, cb)
+    num = _kernels.kron_pure(a.num, b.num, ra, ca, rb, cb)
     return Mat(ra * rb, ca * cb, num, a.den * b.den)
 
 
@@ -340,25 +310,3 @@ def project_onto(basis, v):
             for i, x in enumerate(b):
                 out[i] += c * x
     return out
-
-
-def mat_to_text(a):
-    """Text form: first line "rows cols", then one row per line."""
-    lines = ["%d %d" % (a.rows, a.cols)]
-    for row in a.to_rows():
-        lines.append(" ".join(rat_to_str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def mat_from_text(text):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    r, c = (int(t) for t in lines[0].split())
-    if len(lines) != r + 1:
-        raise ValueError("expected %d rows" % r)
-    rows = []
-    for ln in lines[1:]:
-        row = [rat_from_str(t) for t in ln.split()]
-        if len(row) != c:
-            raise ValueError("expected %d columns" % c)
-        rows.append(row)
-    return mat_from_rows(rows) if r else mat_zeros(0, 0)

@@ -1,4 +1,4 @@
-"""Named example structures used by the CLI, the tests and the benchmark."""
+"""Named example structures for the CLI, the library and the tests."""
 from fractions import Fraction
 
 from .structures import (AlgebraSpec, SuperLieSpec, theorem21_instance,

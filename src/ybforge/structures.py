@@ -3,7 +3,9 @@
 An AlgebraSpec stores e_i e_j = sum_k c[i][j][k] e_k; a CoalgebraSpec stores
 eta(e_k) = sum_{i,j} d[k][i][j] e_i (x) e_j.  Axiom checkers cover
 commutativity, associativity, the Jordan identity (x^2 y) x = x^2 (y x),
-their coalgebra duals, and the Z2- and G-graded Lie axioms.
+their coalgebra duals, and the G-graded Lie axioms; a Z2-graded (super)
+bracket is checked as the G = Z2 case with theta(a,b) = (-1)^{ab}.  A
+graded bracket is read as a product table, so `mul_vec` extends both.
 
 Every Jordan verdict is one exact multilinear evaluation.  With
 G(v1,v2,v3,v4) = ((v1 v2) v3) v4 - (v1 v2)(v3 v4), the W subspace of V^(x4)
@@ -92,7 +94,7 @@ class SuperLieSpec:
         self.grading = [int(g) for g in grading]
         if len(self.grading) != self.n or any(g not in (0, 1) for g in self.grading):
             raise ValueError("grading must assign 0 or 1 per basis element")
-        self.b = _frac_table(b, self.n, "bracket")
+        self.b = self.c = _frac_table(b, self.n, "bracket")
         for i in range(self.n):
             for j in range(self.n):
                 par = (self.grading[i] + self.grading[j]) % 2
@@ -102,6 +104,13 @@ class SuperLieSpec:
                             "bracket [%s,%s] leaves the %d-graded part"
                             % (self.basis[i], self.basis[j], par))
 
+    def as_colorlie(self):
+        """The same bracket over G = Z2 with theta(a,b) = (-1)^{ab}."""
+        theta = {((a,), (b,)): Fraction(-1 if a and b else 1)
+                 for a in (0, 1) for b in (0, 1)}
+        return ColorLieSpec(self.basis, [2], [(g,) for g in self.grading],
+                            theta, self.b)
+
 
 class ColorLieSpec:
     """(G,theta)-graded bracket; G a product of cyclic groups given by moduli."""
@@ -110,6 +119,9 @@ class ColorLieSpec:
         self.n = len(basis)
         self.basis = list(basis)
         self.moduli = [int(m) for m in moduli]
+        if any(m < 1 for m in self.moduli):
+            raise ValueError("group moduli must be at least 1, got %r"
+                             % (self.moduli,))
         self.grading = [tuple(int(x) % m for x, m in zip(g, self.moduli))
                         for g in grading]
         if len(self.grading) != self.n:
@@ -124,7 +136,7 @@ class ColorLieSpec:
                     raise ValueError("theta missing at %r,%r" % (a, b2))
                 if v == 0:
                     raise ValueError("theta must be nonzero")
-        self.b = _frac_table(b, self.n, "bracket")
+        self.b = self.c = _frac_table(b, self.n, "bracket")
         for i in range(self.n):
             for j in range(self.n):
                 tgt = self.group_add(self.grading[i], self.grading[j])
@@ -169,12 +181,6 @@ class Thm21Verdict:
 
 
 @dataclass(frozen=True)
-class SuperLieReport:
-    antisym: bool
-    jacobi: bool
-
-
-@dataclass(frozen=True)
 class CenterReport:
     even: bool
     commutes: bool
@@ -198,7 +204,8 @@ def basis_vec(n, i):
 
 
 def mul_vec(A, u, v):
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants A.c: the product of an
+    algebra, or the bracket of a graded Lie structure."""
     if len(u) != A.n or len(v) != A.n:
         raise ValueError("dim mismatch")
     out = [Fraction(0)] * A.n
@@ -210,22 +217,6 @@ def mul_vec(A, u, v):
                     uv = u[i] * v[j]
                     row = ci[j]
                     for k in range(A.n):
-                        if row[k]:
-                            out[k] += uv * row[k]
-    return out
-
-
-def bracket_vec(L, u, v):
-    """Bilinear extension of a graded bracket (SuperLieSpec or ColorLieSpec)."""
-    out = [Fraction(0)] * L.n
-    for i in range(L.n):
-        if u[i]:
-            bi = L.b[i]
-            for j in range(L.n):
-                if v[j]:
-                    uv = u[i] * v[j]
-                    row = bi[j]
-                    for k in range(L.n):
                         if row[k]:
                             out[k] += uv * row[k]
     return out
@@ -349,23 +340,6 @@ def jordan_w_check(A, mode):
     return _g_vanishes_on_w(A, mode)
 
 
-def comul_vec(C, v):
-    """Linear extension of eta; output coordinates are (i,j) -> i*n+j."""
-    n = C.n
-    if len(v) != n:
-        raise ValueError("dim mismatch")
-    out = [Fraction(0)] * n ** 2
-    for k in range(n):
-        if v[k]:
-            dk = C.d[k]
-            for i in range(n):
-                row = dk[i]
-                for j in range(n):
-                    if row[j]:
-                        out[i * n + j] += v[k] * row[j]
-    return out
-
-
 def coalgebra_props(C):
     A = dualize_co(C)
     return CoPropReport(_commutative(A), _associative(A))
@@ -428,34 +402,6 @@ def dualize_co(C):
     return AlgebraSpec(list(C.basis), c)
 
 
-def validate_superlie(L):
-    n = L.n
-    g = L.grading
-
-    def sgn(i, j):
-        return -1 if g[i] and g[j] else 1
-
-    antisym = True
-    for i in range(n):
-        for j in range(n):
-            lhs = L.b[i][j]
-            rhs = [-sgn(i, j) * x for x in L.b[j][i]]
-            if lhs != rhs:
-                antisym = False
-    jacobi = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t1 = bracket_vec(L, basis_vec(n, i), L.b[j][k])
-                t2 = bracket_vec(L, basis_vec(n, j), L.b[k][i])
-                t3 = bracket_vec(L, basis_vec(n, k), L.b[i][j])
-                acc = [sgn(k, i) * x + sgn(i, j) * y + sgn(j, k) * z
-                       for x, y, z in zip(t1, t2, t3)]
-                if not vec_is_zero(acc):
-                    jacobi = False
-    return SuperLieReport(antisym, jacobi)
-
-
 def center_contains(L, z):
     """z central and even; falsy report carries the reason."""
     if len(z) != L.n:
@@ -464,7 +410,7 @@ def center_contains(L, z):
     even = all(not z[i] or L.grading[i] == 0 for i in range(L.n))
     witness = None
     for i in range(L.n):
-        if not vec_is_zero(bracket_vec(L, z, basis_vec(L.n, i))):
+        if not vec_is_zero(mul_vec(L, z, basis_vec(L.n, i))):
             witness = i
             break
     return CenterReport(even, witness is None, witness)
@@ -535,6 +481,10 @@ def structure_from_json(obj):
 
 
 def validate_colorlie(S):
+    """Bicharacter, theta-antisymmetry and theta-Jacobi of a colour-Lie
+    bracket; a SuperLieSpec is checked as its Z2 form (`as_colorlie`)."""
+    if isinstance(S, SuperLieSpec):
+        S = S.as_colorlie()
     n = S.n
     elems = list(group_elements(S.moduli))
     th = S.theta
@@ -560,9 +510,9 @@ def validate_colorlie(S):
         for j in range(n):
             for k in range(n):
                 a, b, c = S.grading[i], S.grading[j], S.grading[k]
-                t1 = bracket_vec(S, basis_vec(n, i), S.b[j][k])
-                t2 = bracket_vec(S, basis_vec(n, k), S.b[i][j])
-                t3 = bracket_vec(S, basis_vec(n, j), S.b[k][i])
+                t1 = mul_vec(S, basis_vec(n, i), S.b[j][k])
+                t2 = mul_vec(S, basis_vec(n, k), S.b[i][j])
+                t3 = mul_vec(S, basis_vec(n, j), S.b[k][i])
                 acc = [th[c, a] * x + th[b, c] * y + th[a, b] * z
                        for x, y, z in zip(t1, t2, t3)]
                 if not vec_is_zero(acc):

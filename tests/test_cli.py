@@ -110,6 +110,9 @@ MALFORMED_FILES = {
                          "table": 5},
     "top-level-list": [{"kind": "algebra"}],
     "dim-0": {"kind": "algebra", "dim": 0, "basis": [], "table": []},
+    "colorlie-modulus-0": {"kind": "colorlie", "dim": 1, "basis": ["a"],
+                           "group": [0], "grading": [[0]], "theta": [],
+                           "table": [[["0"]]]},
 }
 
 MALFORMED_ARGV = {
@@ -118,6 +121,8 @@ MALFORMED_ARGV = {
     "colors-not-rational": ["ybe", "super-colored", "--lie", "gl11",
                             "--alpha-table", "0=1,1=2,2=3",
                             "--beta-table", "0=1,1=2,2=4", "--colors", "abc"],
+    "grid-above-limit": ["ybe", "oneparam", "--algebra", "dual2", "--q", "2",
+                         "--grid", "100000000"],
 }
 
 
@@ -183,6 +188,43 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize("name", sorted(MALFORMED_ARGV))
 def test_malformed_argument_exits_2(capsys, name):
     assert_rejected(*run(capsys, *MALFORMED_ARGV[name]))
+
+
+def test_env_grid_above_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("YBFORGE_GRID", str(ybforge.cli.GRID_MAX + 1))
+    code, out, err = run(capsys, "ybe", "colored", "--algebra", "dual2",
+                         "--p", "2", "--q", "3")
+    assert_rejected(code, out, err)
+    assert "above the limit" in err
+
+
+# {missing}: a path in a directory that does not exist; {dir}: a directory
+UNWRITABLE_OUTPUT = {
+    "build-missing-dir": ["ybe", "build", "rA", "--algebra", "dual2",
+                          "--alpha", "1", "--beta", "2", "--gamma", "1",
+                          "-o", "{missing}"],
+    "emit-to-directory": ["examples", "emit", "dual2", "-o", "{dir}"],
+    "dualize-missing-dir": ["dualize", "dual2", "-o", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_OUTPUT))
+def test_unwritable_output_exits_2(capsys, tmp_path, name):
+    paths = {"missing": str(tmp_path / "missing" / "out.json"),
+             "dir": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in UNWRITABLE_OUTPUT[name]]
+    code, out, err = run(capsys, *argv)
+    assert_rejected(code, out, err)
+    assert "cannot write" in err
+
+
+def test_verify_non_ascii_operator_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "op.json"
+    path.write_bytes('{"kind": "linop2", "n": 1, "mat": [["1"]], '
+                     '"name": "\u00e9"}'.encode("utf-8"))
+    code, out, err = run(capsys, "ybe", "verify", str(path))
+    assert_rejected(code, out, err)
+    assert "not ASCII" in err
 
 
 def test_malformed_input_in_a_fresh_process_has_no_traceback(tmp_path):
@@ -484,20 +526,3 @@ def test_json_report_failure_carries_witness(capsys, tmp_path):
     assert braid["verdict"] is False
     assert braid["witness"] == [[0, 0, 1], [0, 0, 1]]
 
-
-def test_bench_json_stdout_is_one_json_document(capsys):
-    code, out, _ = run(capsys, "bench", "--size", "4", "--reps", "1",
-                       "--chain", "2", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["command"] == "bench"
-    assert doc["notes"][0].startswith("backend: ")
-    assert any(n.startswith("braid check") for n in doc["notes"])
-
-
-def test_bench_text_mode_prints_the_table(capsys):
-    code, out, _ = run(capsys, "bench", "--size", "4", "--reps", "1",
-                       "--chain", "2")
-    assert code == 0
-    assert out.startswith("backend: ")
-    assert "matmul chain 4x4 (x2)" in out

@@ -6,9 +6,9 @@ import pytest
 import sympy
 
 from ybforge.exactla import (Mat, first_mismatch, kron, mat_add, mat_apply,
-                             mat_from_columns, mat_from_rows, mat_from_text,
-                             mat_identity, mat_inverse, mat_is_zero, mat_mul,
-                             mat_scale, mat_sub, mat_to_text, mat_transpose,
+                             mat_from_columns, mat_from_rows, mat_identity,
+                             mat_inverse, mat_is_zero, mat_mul, mat_scale,
+                             mat_sub, mat_transpose,
                              mat_zeros, project_onto, rat_from_str,
                              rat_to_str, row_space_basis, vec_is_zero)
 
@@ -169,8 +169,3 @@ def test_project_onto():
         project_onto([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]],
                      [Fraction(1), Fraction(1)])
 
-
-def test_text_roundtrip():
-    rng = random.Random(11)
-    a = rand_mat(rng, 3, 4)
-    assert mat_from_text(mat_to_text(a)) == a
