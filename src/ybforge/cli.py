@@ -24,7 +24,7 @@ from .constructions import (colored_qybe_verify, jordan_r_restricted,
 from .exactla import mat_inverse, rat_from_str, rat_to_str
 from .paramgrid import GridConfigError, default_grid, degree_bounds
 from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
-                         MissingUnitError, PreconditionError, SuperLieSpec,
+                         PreconditionError, SuperLieSpec,
                          check_algebra_props, coalgebra_props, dualize,
                          dualize_co, jordan_co_check, jordan_w_check,
                          structure_from_json, structure_to_json,
@@ -315,10 +315,7 @@ def cmd_ybe_build(args):
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     a, b, g = (_rat(args.alpha, "alpha"), _rat(args.beta, "beta"),
                _rat(args.gamma, "gamma"))
-    try:
-        op = r_algebra(alg, a, b, g)
-    except MissingUnitError as exc:
-        raise CliInputError(str(exc))
+    op = r_algebra(alg, a, b, g)
     predicted = thm32_predict(a, b, g)
     report.note("predicted yang-baxter: %s" % str(predicted).lower())
     _write_json(linop2_to_json(op), args.output, report)
@@ -350,10 +347,7 @@ def cmd_ybe_colored(args):
     report = Report("ybe colored")
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     p, q = _rat(args.p, "p"), _rat(args.q, "q")
-    try:
-        family = r_colored(alg, p, q)
-    except MissingUnitError as exc:
-        raise CliInputError(str(exc))
+    family = r_colored(alg, p, q)
     grid = _grid_points(args.grid, "colored", "u")
     res = colored_qybe_verify(family, grid)
     report.add("colored-qybe", res.verdict, certified=res.certified,
@@ -366,10 +360,7 @@ def cmd_ybe_oneparam(args):
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     q = _rat(args.q, "q")
     grid = _grid_points(args.grid, "oneparam", "t1", nonzero=True)
-    try:
-        res = oneparam_verify(alg, q, grid)
-    except (MissingUnitError, ValueError) as exc:
-        raise CliInputError(str(exc))
+    res = oneparam_verify(alg, q, grid)
     report.add("oneparam-ybe", res.verdict, certified=res.certified,
                witness=res.witness, notes=_cert_note(res))
     return report
@@ -379,10 +370,7 @@ def cmd_ybe_wxz38(args):
     report = Report("ybe wxz38")
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     lam, mu = _rat(args.lam, "lambda"), _rat(args.mu, "mu")
-    try:
-        w, x, z = wxz_thm38(alg, lam, mu)
-    except MissingUnitError as exc:
-        raise CliInputError(str(exc))
+    w, x, z = wxz_thm38(alg, lam, mu)
     rep = wxz_check(w, x, z)
     report.add("[W,W,W]=0", rep.www)
     report.add("[Z,Z,Z]=0", rep.zzz)
@@ -396,10 +384,7 @@ def cmd_ybe_phi(args):
     lie = _require_kind(load_structure(args.lie), SuperLieSpec, "--lie")
     z = _default_z(args, lie)
     alpha = _rat(args.alpha, "alpha")
-    try:
-        pair = phi_super(lie, z, alpha)
-    except PreconditionError as exc:
-        raise CliInputError(str(exc))
+    pair = phi_super(lie, z, alpha)
     yb = is_yb_operator(pair.op)
     report.add("braid", yb.braid)
     report.add("invertible", yb.invertible)
@@ -450,7 +435,7 @@ def cmd_ybe_super_colored(args):
     try:
         family = r_super_colored(lie, z, alpha_table, beta_table, colors)
         res = colored_qybe_verify(family, colors)
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         raise CliInputError(str(exc))
     except KeyError as exc:
         raise CliInputError("color missing from a table: %s" % exc)
@@ -465,10 +450,7 @@ def cmd_ybe_jordan_restricted(args):
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     a, b, g = (_rat(args.alpha, "alpha"), _rat(args.beta, "beta"),
                _rat(args.gamma, "gamma"))
-    try:
-        res = jordan_r_restricted(alg, a, b, g)
-    except PreconditionError as exc:
-        raise CliInputError(str(exc))
+    res = jordan_r_restricted(alg, a, b, g)
     report.add("restricted-braid", res.restricted)
     report.note("full braid relation: %s" % str(res.full).lower())
     report.note("unit adjoined: %s" % str(res.unit_adjoined).lower())
@@ -480,10 +462,7 @@ def cmd_ybe_form8(args):
     report = Report("ybe form8")
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     a, b = _rat(args.alpha, "alpha"), _rat(args.beta, "beta")
-    try:
-        res = matrix_form8(alg, a, b)
-    except (MissingUnitError, PreconditionError, ValueError) as exc:
-        raise CliInputError(str(exc))
+    res = matrix_form8(alg, a, b)
     if res.matched:
         notes = "q=%s eta=%s" % (rat_to_str(res.q8), rat_to_str(res.eta8))
         witness = None

@@ -21,7 +21,8 @@ from math import lcm
 from operator import mul
 from typing import Callable, Optional
 
-from .exactla import Mat, mat_from_columns, mat_identity, mat_mul, mat_scale, mat_transpose
+from .exactla import (Mat, common_den, mat_from_columns, mat_identity, mat_mul,
+                      mat_scale, mat_transpose)
 from .paramgrid import GridConfigError, GridResult, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
@@ -135,9 +136,7 @@ def _common_den(ops):
 
 def _combine(ops, coeffs):
     """sum coeffs[i] * ops[i] for operators over one shared denominator."""
-    coeffs = [Fraction(c) for c in coeffs]
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints, scale = common_den(coeffs)
     num = [sum(map(mul, ints, col)) for col in zip(*(op.mat.num for op in ops))]
     op = ops[0]
     return LinOp2(op.n, Mat(op.mat.rows, op.mat.cols, num, scale * op.mat.den))

@@ -5,9 +5,13 @@ A Mat stores one common positive denominator and a flat row-major list of
 integer numerators, canonically reduced, so matrix and Kronecker products
 run on the plain big-integer kernels of `_kernels`.  Equality is exact
 everywhere; there is no tolerance anywhere in this package.
+
+One helper, `common_den`, brings rationals to integer numerators over one
+denominator, and one elimination, `gauss_jordan`, serves `mat_inverse`
+([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
 """
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import _kernels
 
@@ -77,20 +81,21 @@ class Mat:
         return "Mat(%dx%d, den=%d)" % (self.rows, self.cols, self.den)
 
 
+def common_den(values):
+    """Rationals (Rat/int/str) as (integer numerators, den), den the lcm of
+    their denominators: value i is numerators[i] / den."""
+    vals = [x if isinstance(x, Fraction) else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in vals])
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
 def mat_from_rows(rows):
     """Build a Mat from nested Rat/int/str entries."""
     r = len(rows)
     c = len(rows[0]) if r else 0
-    ent = []
-    for row in rows:
-        if len(row) != c:
-            raise ValueError("ragged rows")
-        for x in row:
-            ent.append(Fraction(x) if not isinstance(x, Fraction) else x)
-    den = 1
-    for x in ent:
-        den = den * x.denominator // gcd(den, x.denominator)
-    num = [x.numerator * (den // x.denominator) for x in ent]
+    if any(len(row) != c for row in rows):
+        raise ValueError("ragged rows")
+    num, den = common_den([x for row in rows for x in row])
     return Mat(r, c, num, den)
 
 
@@ -171,6 +176,34 @@ def first_mismatch(a, b):
     return None
 
 
+def gauss_jordan(rows, ncols, full_rank=False):
+    """Reduce rows (lists of Rat, reassigned in place) to reduced row-echelon
+    form over their first ncols columns, by Gauss-Jordan elimination with the
+    first nonzero pivot; the remaining columns ride along.  Returns the pivot
+    columns, or None under full_rank at the first column without a pivot."""
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col] != 0),
+                   None)
+        if piv is None:
+            if full_rank:
+                return None
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+        pv = rows[top][col]
+        if pv != 1:
+            rows[top] = [x / pv for x in rows[top]]
+        prow = rows[top]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+    return pivots
+
+
 def mat_inverse(a):
     """Exact inverse by Gauss-Jordan elimination; None when singular."""
     if a.rows != a.cols:
@@ -178,20 +211,8 @@ def mat_inverse(a):
     n = a.rows
     aug = [row + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(a.to_rows())]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [x / pv for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    if gauss_jordan(aug, n, full_rank=True) is None:
+        return None
     return mat_from_rows([row[n:] for row in aug])
 
 
@@ -222,19 +243,9 @@ def mat_from_columns(vecs):
     if not vecs:
         raise ValueError("no columns")
     dim = len(vecs[0])
-    den = 1
-    fr = []
-    for v in vecs:
-        if len(v) != dim:
-            raise ValueError("dim mismatch")
-        fv = [Fraction(x) if not isinstance(x, Fraction) else x for x in v]
-        fr.append(fv)
-        for x in fv:
-            den = den * x.denominator // gcd(den, x.denominator)
-    num = [0] * (dim * len(vecs))
-    for j, fv in enumerate(fr):
-        for i, x in enumerate(fv):
-            num[i * len(vecs) + j] = x.numerator * (den // x.denominator)
+    if any(len(v) != dim for v in vecs):
+        raise ValueError("dim mismatch")
+    num, den = common_den([v[i] for i in range(dim) for v in vecs])
     return Mat(dim, len(vecs), num, den)
 
 
@@ -243,52 +254,10 @@ def row_space_basis(vecs):
     if not vecs:
         return []
     dim = len(vecs[0])
-    rows = []
-    for v in vecs:
-        if len(v) != dim:
-            raise ValueError("dim mismatch")
-        rows.append(list(v))
-    basis = []   # list of (pivot_col, row) kept reduced
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        for pc, b in basis:
-            if row[pc] != 0:
-                f = row[pc]
-                row = [x - f * y for x, y in zip(row, b)]
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        lv = row[lead]
-        if lv != 1:
-            row = [x / lv for x in row]
-        for pc, b in basis:
-            if b[lead] != 0:
-                f = b[lead]
-                for j in range(dim):
-                    b[j] -= f * row[j]
-        basis.append((lead, row))
-    basis.sort(key=lambda t: t[0])
-    return [b for _, b in basis]
-
-
-def _solve(rows, rhs):
-    # Gauss with first-nonzero pivot; None when the system is singular.
-    n = len(rows)
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-    return [aug[i][n] for i in range(n)]
+    if any(len(v) != dim for v in vecs):
+        raise ValueError("dim mismatch")
+    rows = [[Fraction(x) for x in v] for v in vecs]
+    return rows[:len(gauss_jordan(rows, dim))]
 
 
 def project_onto(basis, v):
@@ -299,13 +268,13 @@ def project_onto(basis, v):
     """
     if not basis:
         return [Fraction(0)] * len(v)
-    gram = [[vec_dot(bi, bj) for bj in basis] for bi in basis]
-    rhs = [vec_dot(bi, v) for bi in basis]
-    coef = _solve(gram, rhs)
-    if coef is None:
+    aug = [[vec_dot(bi, bj) for bj in basis] + [vec_dot(bi, v)]
+           for bi in basis]
+    if gauss_jordan(aug, len(basis), full_rank=True) is None:
         raise ValueError("dependent basis")
     out = [Fraction(0)] * len(v)
-    for c, b in zip(coef, basis):
+    for row, b in zip(aug, basis):
+        c = row[-1]
         if c:
             for i, x in enumerate(b):
                 out[i] += c * x

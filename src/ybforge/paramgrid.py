@@ -1,12 +1,12 @@
-"""Deterministic polynomial identity testing on rational grids.
+"""Rational grids and per-variable degree bounds for the parameter families.
 
-A claim "lhs(params) = rhs(params) for all rational params" where both sides
-are matrices of polynomials with known per-variable degree bounds is decided
-by evaluating on a finite grid: if a polynomial has degree < g in each
-variable and vanishes on a full tensor grid with g distinct points per
-variable, it is identically zero.  A true verdict on a large-enough grid is
-therefore a proof, and grid_verify refuses to run on grids that are too
-small rather than return an uncertified true.
+A polynomial of degree < g in each variable that vanishes on a tensor grid
+of g distinct points per variable is zero.  The `colored` and `oneparam`
+verdicts come from exact coefficient expansion in `constructions`; the
+bounds here decide their `certified` flag, size the default grid that
+orders a FAIL's witness search and set the CLI's refusal of undersized
+grids.  No verdict comes from `grid_verify` (exhaustive evaluation of an
+`IdentityJob`) any more; only the tests call it.
 """
 import itertools
 from dataclasses import dataclass, field

@@ -449,15 +449,28 @@ def structure_to_json(obj):
     raise TypeError("cannot serialize %r" % type(obj).__name__)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_list(value, what, ints=False):
+    """value if it is a JSON list (of integers, with ints), else ValueError."""
+    if not isinstance(value, list) or (ints and not all(map(_is_int, value))):
+        raise ValueError("%s must be a list%s, got %r"
+                         % (what, " of integers" if ints else "", value))
+    return value
+
+
 def structure_from_json(obj):
     from .exactla import rat_from_str
 
     if not isinstance(obj, dict):
         raise ValueError("a structure must be a JSON object")
     kind = obj.get("kind")
-    basis = list(obj["basis"])
-    if int(obj["dim"]) != len(basis):
-        raise ValueError("dim does not match basis length")
+    basis = _json_list(obj["basis"], "basis")
+    if not _is_int(obj["dim"]) or obj["dim"] != len(basis):
+        raise ValueError("dim must be the integer length of basis, got %r"
+                         % (obj["dim"],))
     if not basis:
         raise ValueError("dim must be at least 1")
 
@@ -466,17 +479,20 @@ def structure_from_json(obj):
     if kind == "algebra":
         unit = obj.get("unit")
         if unit is not None:
-            unit = [rat_from_str(x) for x in unit]
+            unit = [rat_from_str(x) for x in _json_list(unit, "unit")]
         return AlgebraSpec(basis, t3(obj["table"]), unit)
     if kind == "coalgebra":
         return CoalgebraSpec(basis, t3(obj["table"]))
     if kind == "superlie":
-        return SuperLieSpec(basis, obj["grading"], t3(obj["table"]))
+        grading = _json_list(obj["grading"], "grading", ints=True)
+        return SuperLieSpec(basis, grading, t3(obj["table"]))
     if kind == "colorlie":
         theta = {(tuple(a), tuple(b)): rat_from_str(v)
                  for a, b, v in obj["theta"]}
-        return ColorLieSpec(basis, obj["group"], [tuple(g) for g in obj["grading"]],
-                            theta, t3(obj["table"]))
+        group = _json_list(obj["group"], "group", ints=True)
+        grading = [tuple(_json_list(g, "each grading entry", ints=True))
+                   for g in _json_list(obj["grading"], "grading")]
+        return ColorLieSpec(basis, group, grading, theta, t3(obj["table"]))
     raise ValueError("unknown structure kind %r" % kind)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-from .exactla import Mat, mat_identity, mat_inverse, mat_mul
+from .exactla import Mat, common_den, mat_identity, mat_inverse, mat_mul
 
 
 class LinOp2:
@@ -334,12 +334,8 @@ def restricted_braid_check(r, spanning):
             raise ValueError("spanning vector dim %d != %d" % (len(v), n3))
     lhs, rhs = _braid_words(r)
     for v in spanning:
-        den = 1
-        for x in v:
-            if den % x.denominator:
-                den *= x.denominator
-        vec = {i: x.numerator * (den // x.denominator)
-               for i, x in enumerate(v) if x}
+        idx = [i for i, x in enumerate(v) if x]
+        vec = dict(zip(idx, common_den([v[i] for i in idx])[0]))
         if _apply_word(lhs, vec) != _apply_word(rhs, vec):
             return False
     return True

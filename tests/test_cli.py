@@ -113,6 +113,28 @@ MALFORMED_FILES = {
     "colorlie-modulus-0": {"kind": "colorlie", "dim": 1, "basis": ["a"],
                            "group": [0], "grading": [[0]], "theta": [],
                            "table": [[["0"]]]},
+    # strings and non-integers where lists and integers belong: none may be
+    # read character by character or truncated
+    "basis-string": {"kind": "algebra", "dim": 2, "basis": "1x",
+                     "table": [[["0", "0"]] * 2] * 2},
+    "unit-string": {"kind": "algebra", "dim": 2, "basis": ["1", "x"],
+                    "table": [[["0", "0"]] * 2] * 2, "unit": "10"},
+    "dim-float": {"kind": "algebra", "dim": 2.9, "basis": ["1", "x"],
+                  "table": [[["0", "0"]] * 2] * 2},
+    "superlie-grading-string": {"kind": "superlie", "dim": 2,
+                                "basis": ["a", "b"], "grading": "00",
+                                "table": [[["0", "0"]] * 2] * 2},
+    "colorlie-group-string": {"kind": "colorlie", "dim": 1, "basis": ["a"],
+                              "group": "2", "grading": [[0]],
+                              "theta": [[[0], [0], "1"], [[0], [1], "1"],
+                                        [[1], [0], "1"], [[1], [1], "1"]],
+                              "table": [[["0"]]]},
+    "colorlie-grading-string": {"kind": "colorlie", "dim": 2,
+                                "basis": ["a", "b"], "group": [2],
+                                "grading": ["0", "1"],
+                                "theta": [[[0], [0], "1"], [[0], [1], "1"],
+                                          [[1], [0], "1"], [[1], [1], "1"]],
+                                "table": [[["0", "0"]] * 2] * 2},
 }
 
 MALFORMED_ARGV = {
