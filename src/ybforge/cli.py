@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -39,22 +38,23 @@ class CliInputError(Exception):
     """Bad command-line input; maps to exit status 2."""
 
 
-@dataclass
 class Check:
-    name: str
-    verdict: bool
-    certified: bool = None
-    witness: object = None
-    notes: str = ""
+    def __init__(self, name, verdict, certified=None, witness=None, notes=""):
+        self.name = name
+        self.verdict = verdict
+        self.certified = certified
+        self.witness = witness
+        self.notes = notes
 
 
-@dataclass
 class Report:
-    command: str
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    # set when the command's payload occupies stdout, so the report must not
-    to_stderr: bool = False
+    def __init__(self, command):
+        self.command = command
+        self.checks = []
+        self.notes = []
+        # set when the command's payload occupies stdout, so the report goes
+        # to stderr
+        self.to_stderr = False
 
     def add(self, name, verdict, certified=None, witness=None, notes=""):
         self.checks.append(Check(name, bool(verdict), certified, witness, notes))
@@ -414,7 +414,7 @@ def _parse_table(text, what):
     try:
         for piece in text.split(","):
             key, value = piece.split("=", 1)
-            table[Fraction(key.strip())] = rat_from_str(value.strip())
+            table[rat_from_str(key)] = rat_from_str(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliInputError("bad %s %r: %s" % (what, text, exc))
     if not table:

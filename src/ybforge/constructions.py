@@ -15,11 +15,10 @@ are decided by exhausting their color set.
 """
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Optional
 
 from .exactla import (Mat, common_den, mat_from_columns, mat_identity, mat_mul,
                       mat_scale, mat_transpose)
@@ -34,23 +33,18 @@ class NotYangBaxterError(ValueError):
     """Parameters fall outside the cases that give a Yang-Baxter operator."""
 
 
-@dataclass(frozen=True)
-class ColoredFamily:
-    tag: str
-    n: int
-    params: dict
-    evaluator: Callable            # (u, v) -> LinOp2
-    color_set: Optional[tuple] = None  # finite color set, when the family has one
-    # (U, V) over one denominator with R(u,v) = u U + v V, when the family is
-    # linear in its colors (and has no color set)
-    coefficients: Optional[tuple] = None
+# evaluator: (u, v) -> LinOp2.  color_set: the finite color set, when the
+# family has one.  coefficients: (U, V) over one denominator with
+# R(u,v) = u U + v V, when the family is linear in its colors (and has no
+# color set).
+ColoredFamily = namedtuple(
+    "ColoredFamily", "tag n params evaluator color_set coefficients",
+    defaults=(None, None))
 
 
-@dataclass(frozen=True)
-class OneParamFamily:
-    n: int
-    q: Fraction
-    coefficients: tuple            # (P, Q) over one denominator: S(t) = t P + Q
+class OneParamFamily(namedtuple("OneParamFamily", "n q coefficients")):
+    """coefficients: (P, Q) over one denominator, S(t) = t P + Q."""
+    __slots__ = ()
 
     def __call__(self, t):
         t = Fraction(t)
@@ -59,28 +53,13 @@ class OneParamFamily:
         return _combine(self.coefficients, (t, 1))
 
 
-@dataclass(frozen=True)
-class PhiPair:
-    op: LinOp2
-    inverse: LinOp2
-
-
-@dataclass(frozen=True)
-class Form8Result:
-    matched: bool
-    q8: Optional[Fraction]
-    eta8: Optional[Fraction]
-    display: Mat                   # normalized matrix in the template's row layout
-    offending: Optional[tuple]     # (row, col) of the first non-template entry
-    value: Optional[Fraction]
-
-
-@dataclass(frozen=True)
-class RestrictedReport:
-    restricted: bool
-    full: bool
-    unit_adjoined: bool
-    family_size: int
+PhiPair = namedtuple("PhiPair", "op inverse")
+# display: the normalized matrix in the template's row layout; offending:
+# (row, col) of the first non-template entry, with its value
+Form8Result = namedtuple("Form8Result",
+                         "matched q8 eta8 display offending value")
+RestrictedReport = namedtuple("RestrictedReport",
+                              "restricted full unit_adjoined family_size")
 
 
 def _require_unit(A):

@@ -19,10 +19,14 @@ Rat = Fraction
 
 
 def rat_from_str(s):
-    """Parse "p/q" or "p" into a Rat; anything but a string is a TypeError."""
+    """Parse "p/q", "p" or a decimal "p.d" into a Rat; anything but a string
+    is a TypeError.  Exponent forms ("1e9") are a ValueError: their size is
+    not bounded by the length of the text."""
     if not isinstance(s, str):
         raise TypeError("expected a rational as a string, got %s %r"
                         % (type(s).__name__, s))
+    if "e" in s or "E" in s:
+        raise ValueError("exponent form not accepted: %r" % s)
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

@@ -9,30 +9,23 @@ grids.  No verdict comes from `grid_verify` (exhaustive evaluation of an
 `IdentityJob`) any more; only the tests call it.
 """
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Optional
 
 
 class GridConfigError(ValueError):
     """Grid too small (or malformed) to certify the claimed degree bound."""
 
 
-@dataclass(frozen=True)
-class IdentityJob:
-    description: str
-    variables: list          # [(name, degree_bound), ...]
-    grids: dict              # name -> list of distinct Rat, len >= bound+1
-    evaluator: Callable      # assignment dict -> (lhs Mat, rhs Mat)
+# variables: [(name, degree_bound), ...]; grids: name -> list of distinct
+# Rat, len >= bound+1; evaluator: assignment dict -> (lhs Mat, rhs Mat)
+IdentityJob = namedtuple("IdentityJob", "description variables grids evaluator")
 
 
-@dataclass(frozen=True)
-class GridResult:
-    description: str
-    verdict: bool
-    certified: bool
-    witness: Optional[dict]
-    certificate: dict = field(default_factory=dict)  # name -> (grid size, bound)
+class GridResult(namedtuple(
+        "GridResult", "description verdict certified witness certificate")):
+    """certificate: variable name -> (grid size, degree bound)."""
+    __slots__ = ()
 
     def __bool__(self):
         return self.verdict

@@ -1,6 +1,7 @@
 """Named example structures for the CLI, the library and the tests."""
 from fractions import Fraction
 
+from .exactla import rat_from_str
 from .structures import (AlgebraSpec, SuperLieSpec, theorem21_instance,
                          theorem22_instance)
 
@@ -113,7 +114,8 @@ def build(name, *args):
     if len(args) > len(params):
         raise ValueError("%s takes at most %d parameters" % (name, len(params)))
     try:
-        values = [Fraction(a) for a in args]
+        values = [rat_from_str(a) if isinstance(a, str) else Fraction(a)
+                  for a in args]
     except ZeroDivisionError:
         raise ValueError("zero denominator in %s%r" % (name, args)) from None
     return builder(*values)

@@ -28,11 +28,12 @@ with w gives coordinate k of G(w) there, so the dual W relation is the same
 evaluation, and (co)commutativity and (co)associativity transpose likewise.
 """
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from math import prod
 
-from .exactla import row_space_basis, vec_is_zero
+from .exactla import (rat_from_str, rat_to_str, row_space_basis,
+                      vec_is_zero)
 
 
 class PreconditionError(ValueError):
@@ -128,6 +129,12 @@ class ColorLieSpec:
             raise ValueError("grading dim mismatch")
         self.theta = {(tuple(a), tuple(b2)): Fraction(v)
                       for (a, b2), v in theta.items()}
+        # theta must cover G x G: count before listing G, whose order is
+        # not bounded by the size of the input
+        order = prod(self.moduli)
+        if len(self.theta) < order * order:
+            raise ValueError("theta has %d entries; a group of order %d needs %d"
+                             % (len(self.theta), order, order * order))
         elems = list(group_elements(self.moduli))
         for a in elems:
             for b2 in elems:
@@ -152,49 +159,22 @@ def group_elements(moduli):
     return itertools.product(*(range(m) for m in moduli))
 
 
-@dataclass(frozen=True)
-class WSubspace:
-    n: int
-    mode: str
-    basis: tuple  # tuple of coordinate vectors in Q^(n^4)
+# basis: tuple of coordinate vectors in Q^(n^4)
+WSubspace = namedtuple("WSubspace", "n mode basis")
+PropReport = namedtuple("PropReport", "commutative associative unital jordan")
+CoPropReport = namedtuple("CoPropReport", "cocommutative coassociative")
+Thm21Verdict = namedtuple("Thm21Verdict", "jordan assoc equivalent")
 
 
-@dataclass(frozen=True)
-class PropReport:
-    commutative: bool
-    associative: bool
-    unital: bool
-    jordan: bool
-
-
-@dataclass(frozen=True)
-class CoPropReport:
-    cocommutative: bool
-    coassociative: bool
-
-
-@dataclass(frozen=True)
-class Thm21Verdict:
-    jordan: bool
-    assoc: bool
-    equivalent: bool
-
-
-@dataclass(frozen=True)
-class CenterReport:
-    even: bool
-    commutes: bool
-    witness: Optional[int]  # basis index of a nonzero bracket, if any
+class CenterReport(namedtuple("CenterReport", "even commutes witness")):
+    """witness: basis index of a nonzero bracket, if any."""
+    __slots__ = ()
 
     def __bool__(self):
         return self.even and self.commutes
 
 
-@dataclass(frozen=True)
-class ColorLieReport:
-    bicharacter: bool
-    antisym: bool
-    jacobi: bool
+ColorLieReport = namedtuple("ColorLieReport", "bicharacter antisym jacobi")
 
 
 def basis_vec(n, i):
@@ -421,8 +401,6 @@ def structure_to_json(obj):
     table[i][j][k] is the e_k-coefficient of e_i e_j (resp. the bracket);
     for coalgebras table[k][i][j] is the e_i(x)e_j-coefficient of eta(e_k).
     """
-    from .exactla import rat_to_str
-
     def t3(table):
         return [[[rat_to_str(x) for x in row] for row in plane]
                 for plane in table]
@@ -462,8 +440,6 @@ def _json_list(value, what, ints=False):
 
 
 def structure_from_json(obj):
-    from .exactla import rat_from_str
-
     if not isinstance(obj, dict):
         raise ValueError("a structure must be a JSON object")
     kind = obj.get("kind")

@@ -20,11 +20,11 @@ A factor that is polynomial in parameters is passed to
 factor share one denominator, so every word of the expansion carries the
 same denominator and its numerators compare exactly too.
 """
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
-from typing import Optional
 
-from .exactla import Mat, common_den, mat_identity, mat_inverse, mat_mul
+from .exactla import (Mat, common_den, mat_from_rows, mat_identity,
+                      mat_inverse, mat_mul, rat_from_str, rat_to_str)
 
 
 class LinOp2:
@@ -61,19 +61,11 @@ class LinOp3:
         return self.n == other.n and self.mat == other.mat
 
 
-@dataclass(frozen=True)
-class YbReport:
-    braid: bool
-    invertible: bool
-    yb: bool
+YbReport = namedtuple("YbReport", "braid invertible yb")
 
 
-@dataclass(frozen=True)
-class WxzReport:
-    www: bool
-    zzz: bool
-    wxx: bool
-    xxz: bool
+class WxzReport(namedtuple("WxzReport", "www zzz wxx xxz")):
+    __slots__ = ()
 
     def all_hold(self):
         return self.www and self.zzz and self.wxx and self.xxz
@@ -342,14 +334,12 @@ def restricted_braid_check(r, spanning):
 
 
 def linop2_to_json(r):
-    from .exactla import rat_to_str
     rows = r.mat.to_rows()
     return {"kind": "linop2", "n": r.n,
             "mat": [[rat_to_str(x) for x in row] for row in rows]}
 
 
 def linop2_from_json(obj):
-    from .exactla import mat_from_rows, rat_from_str
     if not isinstance(obj, dict) or obj.get("kind") != "linop2":
         raise ValueError("not a linop2 object")
     n = obj["n"]

@@ -113,6 +113,13 @@ MALFORMED_FILES = {
     "colorlie-modulus-0": {"kind": "colorlie", "dim": 1, "basis": ["a"],
                            "group": [0], "grading": [[0]], "theta": [],
                            "table": [[["0"]]]},
+    # a group far too large to list, and a theta that cannot cover it
+    "colorlie-group-1e9": {"kind": "colorlie", "dim": 1, "basis": ["a"],
+                           "group": [10 ** 9], "grading": [[0]], "theta": [],
+                           "table": [[["0"]]]},
+    # exponent forms are refused: "1e3000000" is a 10-million-bit integer
+    "table-exponent": {"kind": "algebra", "dim": 1, "basis": ["a"],
+                       "table": [[["1e3000000"]]]},
     # strings and non-integers where lists and integers belong: none may be
     # read character by character or truncated
     "basis-string": {"kind": "algebra", "dim": 2, "basis": "1x",
@@ -145,6 +152,12 @@ MALFORMED_ARGV = {
                             "--beta-table", "0=1,1=2,2=4", "--colors", "abc"],
     "grid-above-limit": ["ybe", "oneparam", "--algebra", "dual2", "--q", "2",
                          "--grid", "100000000"],
+    "alpha-exponent": ["ybe", "build", "rA", "--algebra", "dual2",
+                       "--alpha", "1e3000000", "--beta", "1", "--gamma", "1"],
+    "inline-exponent": ["algebra-check", "split2(1e3000000)"],
+    "table-key-exponent": ["ybe", "super-colored", "--lie", "gl11",
+                           "--alpha-table", "1E3000000=1",
+                           "--beta-table", "0=1"],
 }
 
 

@@ -39,6 +39,13 @@ def test_rat_str_roundtrip():
         rat_from_str("1/0")
 
 
+def test_rat_from_str_refuses_exponent_forms():
+    assert rat_from_str(" 1.25 ") == Fraction(5, 4)
+    for s in ("1e3000000", "1E3000000", "2.5e-1", "1/2e3"):
+        with pytest.raises(ValueError, match="exponent"):
+            rat_from_str(s)
+
+
 def test_mat_canonical_form():
     a = mat_from_rows([[Fraction(1, 2), Fraction(1, 3)],
                        [Fraction(0), Fraction(-1, 6)]])

@@ -2,10 +2,14 @@
 
 numpy, sympy and hypothesis are installed for the tests, so an import of
 one of them in the package would still pass every other test here; this
-one parses each module and rejects any such import.
+one parses each module and rejects any such import.  A second test keeps
+the CLI's start-up light: every `ybforge` command is a fresh process, so
+each module that `import ybforge.cli` pulls in is paid for on every call.
 """
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import ybforge
@@ -32,3 +36,24 @@ def test_package_imports_only_the_standard_library():
             if root not in sys.stdlib_module_names and root != "ybforge":
                 outside.append("%s:%d imports %s" % (path.name, lineno, root))
     assert outside == []
+
+
+# `dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, and each
+# decorated class generates code at import time
+HEAVY_AT_START_UP = ("dataclasses", "inspect")
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import ybforge.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "ybforge.cli" in loaded
+    assert [name for name in HEAVY_AT_START_UP if name in loaded] == []
