@@ -20,13 +20,13 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactla import (Mat, common_den, mat_from_columns, mat_identity, mat_mul,
-                      mat_scale, mat_transpose)
+from .exactla import (Mat, common_den, mat_identity, mat_mul, mat_scale,
+                      mat_transpose)
 from .paramgrid import GridConfigError, GridResult, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
-from .ybcore import (LinOp2, braid_check, compose, restricted_braid_check,
-                     twist, yb_vanishes, yb_vanishes_expanded)
+from .ybcore import (LinOp2, _braid_kills, braid_check, compose, twist,
+                     yb_vanishes, yb_vanishes_expanded)
 
 
 class NotYangBaxterError(ValueError):
@@ -74,34 +74,26 @@ def _formula_op(A, z, c_ab1, c_1ab, c_swap, c_diag, grading=None):
         c_ab1 (e_i e_j)(x)z + c_1ab z(x)(e_i e_j)
             - s (c_swap e_j(x)e_i + c_diag e_i(x)e_j),
 
-    with e_i e_j read from A.c (a product or a bracket table) and
-    s = (-1)^{|e_i||e_j|} under a Z2 grading, else 1.  Zero coefficients
-    are skipped."""
-    n = A.n
-    cols = []
+    with e_i e_j read from the integer view A.num/A.den (a product or a
+    bracket table) and s = (-1)^{|e_i||e_j|} under a Z2 grading, else 1,
+    as numerators over one denominator, straight into a Mat."""
+    n, nn = A.n, A.n ** 2
+    (ab1, a1b, swap, diag), dc = common_den((c_ab1, c_1ab, c_swap, c_diag))
+    zn, dz = common_den(z)
+    zs = [(l, x) for l, x in enumerate(zn) if x]
+    scale = A.den * dz
+    num = [0] * nn ** 2
     for i in range(n):
         for j in range(n):
-            col = [Fraction(0)] * n ** 2
-            if c_ab1 or c_1ab:
-                ab = A.c[i][j]
-                for k in range(n):
-                    if ab[k]:
-                        for l in range(n):
-                            if z[l]:
-                                prod = ab[k] * z[l]
-                                if c_ab1:
-                                    col[k * n + l] += c_ab1 * prod
-                                if c_1ab:
-                                    col[l * n + k] += c_1ab * prod
-            swap, diag = c_swap, c_diag
-            if grading and grading[i] and grading[j]:
-                swap, diag = -swap, -diag
-            if swap:
-                col[j * n + i] -= swap
-            if diag:
-                col[i * n + j] -= diag
-            cols.append(col)
-    return LinOp2(n, mat_from_columns(cols))
+            col = i * n + j
+            for k, x in A.num[i][j].items():
+                for l, y in zs:
+                    num[(k * n + l) * nn + col] += ab1 * x * y
+                    num[(l * n + k) * nn + col] += a1b * x * y
+            s = -scale if grading and grading[i] and grading[j] else scale
+            num[(j * n + i) * nn + col] -= s * swap
+            num[col * nn + col] -= s * diag
+    return LinOp2(n, Mat(nn, nn, num, dc * scale))
 
 
 def _common_den(ops):
@@ -278,9 +270,8 @@ def s_oneparam(A, q):
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
     q = Fraction(q)
-    return OneParamFamily(A.n, q, _common_den(
-        (_formula_op(A, unit, q, Fraction(1), Fraction(1), Fraction(0)),
-         _formula_op(A, unit, -q, Fraction(-1), -q, Fraction(0)))))
+    return OneParamFamily(A.n, q, _common_den((_formula_op(A, unit, q, 1, 1, 0),
+                                               _formula_op(A, unit, -q, -1, -q, 0))))
 
 
 def oneparam_verify(A, q, tgrid):
@@ -327,11 +318,8 @@ def wxz_thm38(A, lam, mu):
     Z = mu ab(x)1 + 1(x)ab - b(x)a."""
     unit = _require_unit(A)
     lam, mu = Fraction(lam), Fraction(mu)
-    one = Fraction(1)
-    w = _formula_op(A, unit, one, lam, one, Fraction(0))
-    x = _formula_op(A, unit, one, one, one, Fraction(0))
-    z = _formula_op(A, unit, mu, one, one, Fraction(0))
-    return w, x, z
+    return (_formula_op(A, unit, 1, lam, 1, 0), _formula_op(A, unit, 1, 1, 1, 0),
+            _formula_op(A, unit, mu, 1, 1, 0))
 
 
 def wxz_from_colored(F, s, t):
@@ -393,17 +381,10 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
 
 def _adjoin_unit(J):
     """J+ = k.1 (+) J: formal unit prepended at index 0."""
-    n = J.n + 1
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    c[0][0][0] = Fraction(1)
-    for i in range(1, n):
-        c[0][i][i] = Fraction(1)
-        c[i][0][i] = Fraction(1)
-    for i in range(J.n):
-        for j in range(J.n):
-            for k in range(J.n):
-                c[i + 1][j + 1][k + 1] = J.c[i][j][k]
-    return AlgebraSpec(["1"] + list(J.basis), c, unit=[1] + [0] * J.n)
+    e = [[int(k == i) for k in range(J.n + 1)] for i in range(J.n + 1)]
+    c = [e] + [[e[i + 1]] + [[0] + row for row in plane]
+               for i, plane in enumerate(J.c)]
+    return AlgebraSpec(["1"] + list(J.basis), c, unit=e[0])
 
 
 def jordan_r_restricted(J, alpha, beta, gamma):
@@ -416,7 +397,8 @@ def jordan_r_restricted(J, alpha, beta, gamma):
     so over Q they span the same subspace as their polarisations: for each
     multiset {i<=j<=k} of J's basis and each basis element b, the sums of
     (e_p e_q)(x)b(x)e_s and e_s(x)b(x)(e_p e_q) over the orderings (p,q,s)
-    of (i,j,k).  That gives C(n+2,3)*n*2 vectors.
+    of (i,j,k).  That gives C(n+2,3)*n*2 vectors, kept as sparse integer
+    numerators over jp.den.
     """
     props = check_algebra_props(J)
     if not props.jordan:
@@ -433,13 +415,12 @@ def jordan_r_restricted(J, alpha, beta, gamma):
     for idx3 in itertools.combinations_with_replacement(own, 3):
         perms = list(itertools.permutations(idx3))
         for b in own:
-            sq_b_a = [Fraction(0)] * m ** 3
-            a_b_sq = [Fraction(0)] * m ** 3
+            sq_b_a, a_b_sq = {}, {}
             for p, q, s in perms:
-                for k, x in enumerate(jp.c[p][q]):
-                    if x:
-                        sq_b_a[(k * m + b) * m + s] += x
-                        a_b_sq[(s * m + b) * m + k] += x
+                for k, x in jp.num[p][q].items():
+                    i, j = (k * m + b) * m + s, (s * m + b) * m + k
+                    sq_b_a[i] = sq_b_a.get(i, 0) + x
+                    a_b_sq[j] = a_b_sq.get(j, 0) + x
             family += [sq_b_a, a_b_sq]
-    restricted = restricted_braid_check(r, family)
+    restricted = _braid_kills(r, family)
     return RestrictedReport(restricted, full, offset == 1, len(family))

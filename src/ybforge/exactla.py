@@ -7,7 +7,8 @@ run on the plain big-integer kernels of `_kernels`.  Equality is exact
 everywhere; there is no tolerance anywhere in this package.
 
 One helper, `common_den`, brings rationals to integer numerators over one
-denominator, and one elimination, `gauss_jordan`, serves `mat_inverse`
+denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
+the rational meant.  One elimination, `gauss_jordan`, serves `mat_inverse`
 ([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
 """
 from fractions import Fraction
@@ -31,6 +32,14 @@ def rat_from_str(s):
         return Fraction(s.strip())
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % s) from None
+
+
+def to_rat(x):
+    """x (Rat, int or string) as a Rat; a float is a TypeError: 0.1 would
+    silently become 3602879701896397/36028797018963968."""
+    if isinstance(x, float):
+        raise TypeError("floats are not accepted as rationals, got %r" % x)
+    return Fraction(x)
 
 
 def rat_to_str(x):
@@ -86,9 +95,9 @@ class Mat:
 
 
 def common_den(values):
-    """Rationals (Rat/int/str) as (integer numerators, den), den the lcm of
-    their denominators: value i is numerators[i] / den."""
-    vals = [x if isinstance(x, Fraction) else Fraction(x) for x in values]
+    """Rationals (Rat/int/str, no float) as (integer numerators, den), den
+    the lcm of their denominators: value i is numerators[i] / den."""
+    vals = [x if isinstance(x, Fraction) else to_rat(x) for x in values]
     den = lcm(*[x.denominator for x in vals])
     return [x.numerator * (den // x.denominator) for x in vals], den
 

@@ -26,14 +26,21 @@ The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j]:
 pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
 with w gives coordinate k of G(w) there, so the dual W relation is the same
 evaluation, and (co)commutativity and (co)associativity transpose likewise.
+
+The `Fraction` tables `c`/`b` are the public form.  Each algebra and bracket
+also carries one integer view, made with `common_den` at construction:
+num[i][j] = {k: numerator of c[i][j][k] over den}.  Every check runs on it;
+each is homogeneous in the constants, so its verdict on the numerators is
+the verdict over Q.  A float in a spec is a TypeError.
 """
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import prod
 
-from .exactla import (rat_from_str, rat_to_str, row_space_basis,
-                      vec_is_zero)
+from .exactla import (common_den, rat_from_str, rat_to_str, row_space_basis,
+                      to_rat)
 
 
 class PreconditionError(ValueError):
@@ -44,7 +51,7 @@ class MissingUnitError(PreconditionError):
     """Construction requires a unital algebra."""
 
 
-def _frac_table(table, n, what, parse=Fraction):
+def _frac_table(table, n, what, parse=to_rat):
     def sized(seq):
         if not isinstance(seq, (list, tuple)) or len(seq) != n:
             raise ValueError("%s table must be %d^3" % (what, n))
@@ -54,6 +61,15 @@ def _frac_table(table, n, what, parse=Fraction):
             for plane in sized(table)]
 
 
+def _int_view(table):
+    """(num, den): num[i][j] = {k: numerator of table[i][j][k] over den}."""
+    flat, den = common_den([x for plane in table for row in plane for x in row])
+    n = len(table)
+    rows = [{k: x for k, x in enumerate(flat[r:r + n]) if x}
+            for r in range(0, len(flat), n)]
+    return [rows[i:i + n] for i in range(0, n * n, n)], den
+
+
 class AlgebraSpec:
     """Finite-dimensional algebra by structure constants; unit optional."""
 
@@ -61,7 +77,8 @@ class AlgebraSpec:
         self.n = len(basis)
         self.basis = list(basis)
         self.c = _frac_table(c, self.n, "structure")
-        self.unit = [Fraction(x) for x in unit] if unit is not None else None
+        self.num, self.den = _int_view(self.c)
+        self.unit = [to_rat(x) for x in unit] if unit is not None else None
         if self.unit is not None and len(self.unit) != self.n:
             raise ValueError("unit dim mismatch")
 
@@ -96,6 +113,7 @@ class SuperLieSpec:
         if len(self.grading) != self.n or any(g not in (0, 1) for g in self.grading):
             raise ValueError("grading must assign 0 or 1 per basis element")
         self.b = self.c = _frac_table(b, self.n, "bracket")
+        self.num, self.den = _int_view(self.b)
         for i in range(self.n):
             for j in range(self.n):
                 par = (self.grading[i] + self.grading[j]) % 2
@@ -127,7 +145,7 @@ class ColorLieSpec:
                         for g in grading]
         if len(self.grading) != self.n:
             raise ValueError("grading dim mismatch")
-        self.theta = {(tuple(a), tuple(b2)): Fraction(v)
+        self.theta = {(tuple(a), tuple(b2)): to_rat(v)
                       for (a, b2), v in theta.items()}
         # theta must cover G x G: count before listing G, whose order is
         # not bounded by the size of the input
@@ -144,6 +162,7 @@ class ColorLieSpec:
                 if v == 0:
                     raise ValueError("theta must be nonzero")
         self.b = self.c = _frac_table(b, self.n, "bracket")
+        self.num, self.den = _int_view(self.b)
         for i in range(self.n):
             for j in range(self.n):
                 tgt = self.group_add(self.grading[i], self.grading[j])
@@ -183,50 +202,59 @@ def basis_vec(n, i):
     return v
 
 
+def _mul(A, u, v):
+    """Product of sparse integer vectors {index: numerator} under A.num: the
+    numerators of uv over one more factor of A.den, zeros left out."""
+    out = {}
+    get = out.get
+    num = A.num
+    for i, x in u.items():
+        row = num[i]
+        for j, y in v.items():
+            xy = x * y
+            for k, z in row[j].items():
+                out[k] = get(k, 0) + xy * z
+    return {k: x for k, x in out.items() if x}
+
+
+def _add(acc, v, s=1):
+    """acc += s v for sparse vectors, in place; zeros are kept."""
+    get = acc.get
+    for k, x in v.items():
+        acc[k] = get(k, 0) + s * x
+    return acc
+
+
 def mul_vec(A, u, v):
     """Bilinear extension of the structure constants A.c: the product of an
     algebra, or the bracket of a graded Lie structure."""
     if len(u) != A.n or len(v) != A.n:
         raise ValueError("dim mismatch")
-    out = [Fraction(0)] * A.n
-    for i in range(A.n):
-        if u[i]:
-            ci = A.c[i]
-            for j in range(A.n):
-                if v[j]:
-                    uv = u[i] * v[j]
-                    row = ci[j]
-                    for k in range(A.n):
-                        if row[k]:
-                            out[k] += uv * row[k]
-    return out
+    (un, ud), (vn, vd) = common_den(u), common_den(v)
+    out = _mul(A, dict(enumerate(un)), dict(enumerate(vn)))
+    den = ud * vd * A.den
+    return [Fraction(out.get(k, 0), den) for k in range(A.n)]
 
 
 def _unit_valid(A):
     if A.unit is None:
         return False
-    for i in range(A.n):
-        e = basis_vec(A.n, i)
-        if mul_vec(A, A.unit, e) != e or mul_vec(A, e, A.unit) != e:
-            return False
-    return True
+    un, ud = common_den(A.unit)
+    u, one = {i: x for i, x in enumerate(un) if x}, ud * A.den
+    return all(_mul(A, u, {i: 1}) == {i: one} == _mul(A, {i: 1}, u)
+               for i in range(A.n))
 
 
 def _commutative(A):
-    n = A.n
-    return all(A.c[i][j] == A.c[j][i] for i in range(n) for j in range(i + 1, n))
+    num = A.num
+    return all(num[i][j] == num[j][i]
+               for i in range(A.n) for j in range(i + 1, A.n))
 
 
 def _associative(A):
-    n = A.n
-    for i in range(n):
-        for j in range(n):
-            eij = A.c[i][j]
-            for k in range(n):
-                lhs = mul_vec(A, eij, basis_vec(n, k))
-                if lhs != mul_vec(A, basis_vec(n, i), A.c[j][k]):
-                    return False
-    return True
+    num = A.num
+    return all(_mul(A, num[i][j], {k: 1}) == _mul(A, {i: 1}, num[j][k])
+               for i, j, k in itertools.product(range(A.n), repeat=3))
 
 
 def check_algebra_props(A):
@@ -245,7 +273,7 @@ def check_algebra_props(A):
 
 def theorem21_instance(s, t):
     """Dim-2 commutative algebra with a^2 = b, b^2 = a, ab = ba = s a + t b."""
-    s, t = Fraction(s), Fraction(t)
+    s, t = to_rat(s), to_rat(t)
     c = [[[0, 1], [s, t]],
          [[s, t], [1, 0]]]
     return AlgebraSpec(["a", "b"], c)
@@ -291,24 +319,23 @@ def w_subspace_basis(n, mode):
 
 def _g_vanishes_on_w(A, mode):
     """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
-    generator, stopping at the first that is not."""
-    n = A.n
-    memo = {}
+    generator, stopping at the first that is not (cached sums are only read)."""
+    num = A.num
 
+    @cache
+    def abc(a, b, c):
+        return _mul(A, num[a][b], {c: 1})
+
+    @cache
     def g(a, b, c, d):
-        key = (a, b, c, d)
-        if key not in memo:
-            ab = A.c[a][b]
-            t1 = mul_vec(A, mul_vec(A, ab, basis_vec(n, c)), basis_vec(n, d))
-            t2 = mul_vec(A, ab, A.c[c][d])
-            memo[key] = [x - y for x, y in zip(t1, t2)]
-        return memo[key]
+        return _add(_mul(A, abc(a, b, c), {d: 1}), _mul(A, num[a][b], num[c][d]),
+                    -1)
 
-    for terms in _w_generators(n, mode):
-        acc = [Fraction(0)] * n
+    for terms in _w_generators(A.n, mode):
+        acc = {}
         for t in terms:
-            acc = [x + y for x, y in zip(acc, g(*t))]
-        if not vec_is_zero(acc):
+            _add(acc, g(*t))
+        if any(acc.values()):
             return False
     return True
 
@@ -341,7 +368,7 @@ def jordan_co_check(C, mode):
 def theorem22_instance(beta):
     """Dim-2 coalgebra: eta(e) = 1/b (e(x)f + f(x)e) + f(x)f and
     eta(f) = b (e(x)f + f(x)e) + e(x)e."""
-    beta = Fraction(beta)
+    beta = to_rat(beta)
     if beta == 0:
         raise ValueError("beta must be nonzero")
     inv = 1 / beta
@@ -354,8 +381,8 @@ def theorem22_instance(beta):
 
 def thm22_conditions(C, eps, zeta):
     """(eps(x)eps) . eta = zeta and (zeta(x)zeta) . eta = eps, exactly."""
-    eps = [Fraction(x) for x in eps]
-    zeta = [Fraction(x) for x in zeta]
+    eps = [to_rat(x) for x in eps]
+    zeta = [to_rat(x) for x in zeta]
     if len(row_space_basis([eps, zeta])) != 2:
         raise PreconditionError("covectors must be linearly independent")
     n = C.n
@@ -386,13 +413,10 @@ def center_contains(L, z):
     """z central and even; falsy report carries the reason."""
     if len(z) != L.n:
         raise ValueError("dim mismatch")
-    z = [Fraction(x) for x in z]
+    z = [to_rat(x) for x in z]
     even = all(not z[i] or L.grading[i] == 0 for i in range(L.n))
-    witness = None
-    for i in range(L.n):
-        if not vec_is_zero(mul_vec(L, z, basis_vec(L.n, i))):
-            witness = i
-            break
+    witness = next((i for i in range(L.n)
+                    if any(mul_vec(L, z, basis_vec(L.n, i)))), None)
     return CenterReport(even, witness is None, witness)
 
 
@@ -480,33 +504,25 @@ def validate_colorlie(S):
     n = S.n
     elems = list(group_elements(S.moduli))
     th = S.theta
-    bich = True
-    for a in elems:
-        for b in elems:
-            if th[a, b] * th[b, a] != 1:
-                bich = False
-            for c in elems:
-                if th[S.group_add(a, b), c] != th[a, c] * th[b, c]:
-                    bich = False
-                if th[a, S.group_add(b, c)] != th[a, b] * th[a, c]:
-                    bich = False
-    antisym = True
-    for i in range(n):
-        for j in range(n):
-            t = th[S.grading[i], S.grading[j]]
-            rhs = [-t * x for x in S.b[j][i]]
-            if S.b[i][j] != rhs:
-                antisym = False
-    jacobi = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                a, b, c = S.grading[i], S.grading[j], S.grading[k]
-                t1 = mul_vec(S, basis_vec(n, i), S.b[j][k])
-                t2 = mul_vec(S, basis_vec(n, k), S.b[i][j])
-                t3 = mul_vec(S, basis_vec(n, j), S.b[k][i])
-                acc = [th[c, a] * x + th[b, c] * y + th[a, b] * z
-                       for x, y, z in zip(t1, t2, t3)]
-                if not vec_is_zero(acc):
-                    jacobi = False
+    bich = all(th[a, b] * th[b, a] == 1
+               and th[S.group_add(a, b), c] == th[a, c] * th[b, c]
+               and th[a, S.group_add(b, c)] == th[a, b] * th[a, c]
+               for a, b, c in itertools.product(elems, repeat=3))
+    # theta as integers over one denominator tden: both checks are linear
+    # in theta, so scaling every term by tden leaves their verdicts
+    tn, tden = common_den(th.values())
+    tn = dict(zip(th, tn))
+    num, g = S.num, S.grading
+    antisym = all(_add({}, num[i][j], tden)
+                  == _add({}, num[j][i], -tn[g[i], g[j]])
+                  for i in range(n) for j in range(n))
+
+    def jacobi_holds(i, j, k):
+        a, b, c = g[i], g[j], g[k]
+        acc = _add({}, _mul(S, {i: 1}, num[j][k]), tn[c, a])
+        _add(acc, _mul(S, {k: 1}, num[i][j]), tn[b, c])
+        return not any(_add(acc, _mul(S, {j: 1}, num[k][i]), tn[a, b]).values())
+
+    jacobi = all(jacobi_holds(*ijk)
+                 for ijk in itertools.product(range(n), repeat=3))
     return ColorLieReport(bich, antisym, jacobi)

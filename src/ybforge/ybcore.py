@@ -21,10 +21,11 @@ factor share one denominator, so every word of the expansion carries the
 same denominator and its numerators compare exactly too.
 """
 from collections import namedtuple
+from math import gcd, lcm
 from operator import add
 
-from .exactla import (Mat, common_den, mat_from_rows, mat_identity,
-                      mat_inverse, mat_mul, rat_from_str, rat_to_str)
+from .exactla import (Mat, common_den, mat_identity, mat_inverse, mat_mul,
+                      rat_from_str)
 
 
 class LinOp2:
@@ -324,19 +325,40 @@ def restricted_braid_check(r, spanning):
     for v in spanning:
         if len(v) != n3:
             raise ValueError("spanning vector dim %d != %d" % (len(v), n3))
+    return _braid_kills(r, [{i: x for i, x in enumerate(common_den(v)[0]) if x}
+                            for v in spanning])
+
+
+def _braid_kills(r, vecs):
+    """True iff both braid words agree on every sparse integer vector."""
     lhs, rhs = _braid_words(r)
-    for v in spanning:
-        idx = [i for i, x in enumerate(v) if x]
-        vec = dict(zip(idx, common_den([v[i] for i in idx])[0]))
-        if _apply_word(lhs, vec) != _apply_word(rhs, vec):
-            return False
-    return True
+    return all(_apply_word(lhs, v) == _apply_word(rhs, v) for v in vecs)
 
 
 def linop2_to_json(r):
-    rows = r.mat.to_rows()
+    """Each entry in rat_to_str's form, from the numerators with one gcd."""
+    m = r.mat
+
+    def entry(x):
+        g = gcd(x, m.den)
+        return str(x // g) if g == m.den else "%d/%d" % (x // g, m.den // g)
+
     return {"kind": "linop2", "n": r.n,
-            "mat": [[rat_to_str(x) for x in row] for row in rows]}
+            "mat": [[entry(x) for x in m.num[i:i + m.cols]]
+                    for i in range(0, len(m.num), m.cols)]}
+
+
+def _parse_entry(x):
+    # (p, q) of an entry: the forms "p" and "p/q" of rat_to_str directly,
+    # anything else through rat_from_str
+    if isinstance(x, str) and x.isascii():
+        p, slash, q = x.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            q = int(q) if slash else 1
+            if q:
+                return int(p), q
+    x = rat_from_str(x)
+    return x.numerator, x.denominator
 
 
 def linop2_from_json(obj):
@@ -352,5 +374,6 @@ def linop2_from_json(obj):
         if not isinstance(row, list) or len(row) != n * n:
             raise ValueError("each row of mat must be a list of %d entries"
                              % (n * n))
-    rows = [[rat_from_str(x) for x in row] for row in mat]
-    return LinOp2(n, mat_from_rows(rows))
+    pq = [_parse_entry(x) for row in mat for x in row]
+    den = lcm(*[q for _p, q in pq])
+    return LinOp2(n, Mat(n * n, n * n, [p * (den // q) for p, q in pq], den))

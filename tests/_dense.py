@@ -1,0 +1,196 @@
+"""Dense `Fraction` references for the integer checks of `structures`,
+`constructions._formula_op` and the operator file format.
+
+Each function here is the rational-arithmetic implementation that the
+package used before its checks moved to integer numerators over one common
+denominator.  They read only the public `Fraction` tables (`A.c`, `S.b`,
+`S.theta`, `r.mat.to_rows()`), so a test can compare verdicts, operators and
+files of the package against them.
+"""
+import itertools
+from fractions import Fraction
+
+from ybforge.exactla import (mat_from_columns, mat_from_rows, rat_from_str,
+                             rat_to_str, vec_is_zero)
+from ybforge.structures import (SuperLieSpec, _w_generators, dualize_co,
+                                group_elements)
+from ybforge.ybcore import LinOp2
+
+
+def basis_vec(n, i):
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return v
+
+
+def mul_vec(A, u, v):
+    """Bilinear extension of the structure constants A.c."""
+    out = [Fraction(0)] * A.n
+    for i in range(A.n):
+        if u[i]:
+            ci = A.c[i]
+            for j in range(A.n):
+                if v[j]:
+                    uv = u[i] * v[j]
+                    row = ci[j]
+                    for k in range(A.n):
+                        if row[k]:
+                            out[k] += uv * row[k]
+    return out
+
+
+def unit_valid(A):
+    if A.unit is None:
+        return False
+    for i in range(A.n):
+        e = basis_vec(A.n, i)
+        if mul_vec(A, A.unit, e) != e or mul_vec(A, e, A.unit) != e:
+            return False
+    return True
+
+
+def commutative(A):
+    n = A.n
+    return all(A.c[i][j] == A.c[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def associative(A):
+    n = A.n
+    for i in range(n):
+        for j in range(n):
+            eij = A.c[i][j]
+            for k in range(n):
+                lhs = mul_vec(A, eij, basis_vec(n, k))
+                if lhs != mul_vec(A, basis_vec(n, i), A.c[j][k]):
+                    return False
+    return True
+
+
+def g_vanishes_on_w(A, mode):
+    """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
+    generator of the mode."""
+    n = A.n
+    memo = {}
+
+    def g(a, b, c, d):
+        key = (a, b, c, d)
+        if key not in memo:
+            ab = A.c[a][b]
+            t1 = mul_vec(A, mul_vec(A, ab, basis_vec(n, c)), basis_vec(n, d))
+            t2 = mul_vec(A, ab, A.c[c][d])
+            memo[key] = [x - y for x, y in zip(t1, t2)]
+        return memo[key]
+
+    for terms in _w_generators(n, mode):
+        acc = [Fraction(0)] * n
+        for t in terms:
+            acc = [x + y for x, y in zip(acc, g(*t))]
+        if not vec_is_zero(acc):
+            return False
+    return True
+
+
+def coalgebra_verdicts(C, mode):
+    """(cocommutative, coassociative, Jordan-co in mode) through the dual."""
+    A = dualize_co(C)
+    return commutative(A), associative(A), g_vanishes_on_w(A, mode)
+
+
+def validate_colorlie(S):
+    """(bicharacter, antisym, jacobi) of a colour-Lie or super-Lie bracket."""
+    if isinstance(S, SuperLieSpec):
+        S = S.as_colorlie()
+    n = S.n
+    elems = list(group_elements(S.moduli))
+    th = S.theta
+    bich = True
+    for a in elems:
+        for b in elems:
+            if th[a, b] * th[b, a] != 1:
+                bich = False
+            for c in elems:
+                if th[S.group_add(a, b), c] != th[a, c] * th[b, c]:
+                    bich = False
+                if th[a, S.group_add(b, c)] != th[a, b] * th[a, c]:
+                    bich = False
+    antisym = True
+    for i in range(n):
+        for j in range(n):
+            t = th[S.grading[i], S.grading[j]]
+            if S.b[i][j] != [-t * x for x in S.b[j][i]]:
+                antisym = False
+    jacobi = True
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                a, b, c = S.grading[i], S.grading[j], S.grading[k]
+                t1 = mul_vec(S, basis_vec(n, i), S.b[j][k])
+                t2 = mul_vec(S, basis_vec(n, k), S.b[i][j])
+                t3 = mul_vec(S, basis_vec(n, j), S.b[k][i])
+                acc = [th[c, a] * x + th[b, c] * y + th[a, b] * z
+                       for x, y, z in zip(t1, t2, t3)]
+                if not vec_is_zero(acc):
+                    jacobi = False
+    return bich, antisym, jacobi
+
+
+def formula_op(A, z, c_ab1, c_1ab, c_swap, c_diag, grading=None):
+    """Column (i,j): c_ab1 (e_i e_j)(x)z + c_1ab z(x)(e_i e_j)
+    - s (c_swap e_j(x)e_i + c_diag e_i(x)e_j), s the Z2 sign."""
+    n = A.n
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            col = [Fraction(0)] * n ** 2
+            if c_ab1 or c_1ab:
+                ab = A.c[i][j]
+                for k in range(n):
+                    if ab[k]:
+                        for l in range(n):
+                            if z[l]:
+                                prod = ab[k] * z[l]
+                                if c_ab1:
+                                    col[k * n + l] += c_ab1 * prod
+                                if c_1ab:
+                                    col[l * n + k] += c_1ab * prod
+            swap, diag = c_swap, c_diag
+            if grading and grading[i] and grading[j]:
+                swap, diag = -swap, -diag
+            if swap:
+                col[j * n + i] -= swap
+            if diag:
+                col[i * n + j] -= diag
+            cols.append(col)
+    return LinOp2(n, mat_from_columns(cols))
+
+
+def restricted_family(jp, offset):
+    """The polarised squares family of `jordan_r_restricted` as dense
+    rational vectors on V^(x3), V = jp, over the basis elements from offset."""
+    m = jp.n
+    own = range(offset, m)
+    family = []
+    for idx3 in itertools.combinations_with_replacement(own, 3):
+        perms = list(itertools.permutations(idx3))
+        for b in own:
+            sq_b_a = [Fraction(0)] * m ** 3
+            a_b_sq = [Fraction(0)] * m ** 3
+            for p, q, s in perms:
+                for k, x in enumerate(jp.c[p][q]):
+                    if x:
+                        sq_b_a[(k * m + b) * m + s] += x
+                        a_b_sq[(s * m + b) * m + k] += x
+            family += [sq_b_a, a_b_sq]
+    return family
+
+
+def linop2_to_json(r):
+    return {"kind": "linop2", "n": r.n,
+            "mat": [[rat_to_str(x) for x in row] for row in r.mat.to_rows()]}
+
+
+def linop2_from_json(obj):
+    """The entries only; the shape checks are the package's."""
+    n = obj["n"]
+    return LinOp2(n, mat_from_rows([[rat_from_str(x) for x in row]
+                                    for row in obj["mat"]]))

@@ -33,7 +33,7 @@ from ybforge.structures import (AlgebraSpec, CoalgebraSpec, PreconditionError,
                                 coalgebra_props, dualize, jordan_co_check,
                                 jordan_w_check, mul_vec)
 from ybforge.registry import build
-from ybforge.ybcore import lift, restricted_braid_check, twist
+from ybforge.ybcore import _braid_kills, lift, twist
 
 MODES = ("pattern3", "full", "symmetrized")
 GRID = [Fraction(g) for g in range(4)]
@@ -304,14 +304,16 @@ def test_non_cocommutative_coalgebra_is_rejected():
 
 
 def test_restricted_braid_matches_the_grid_family(monkeypatch):
-    # record the family that jordan_r_restricted hands to the check
+    # record the family that jordan_r_restricted hands to the check, as
+    # dense rational vectors (it builds them as sparse integer vectors)
     families = []
 
-    def recording(r, spanning):
-        families.append(spanning)
-        return restricted_braid_check(r, spanning)
+    def recording(r, vecs):
+        families.append([[Fraction(v.get(i, 0)) for i in range(r.n ** 3)]
+                         for v in vecs])
+        return _braid_kills(r, vecs)
 
-    monkeypatch.setattr(constructions, "restricted_braid_check", recording)
+    monkeypatch.setattr(constructions, "_braid_kills", recording)
     seen = set()
     scalars = st.sampled_from([Fraction(x) for x in (0, 1, 2, 3)])
     triples = st.lists(st.tuples(scalars, scalars, scalars), min_size=3,

@@ -35,6 +35,7 @@ SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
 def grid_oneparam(A, q, tgrid):
     """(verdict, witness) of the one-parameter YBE over tgrid^3."""
     unit, q = A.unit, Fraction(q)
+    tgrid = [Fraction(t) for t in tgrid]    # t1 / t2 stays exact
     ops = {}
 
     def op(t):
