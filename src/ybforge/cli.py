@@ -7,7 +7,9 @@ is false, 2 on bad input (parse errors, unknown names, violated
 preconditions, undersized or oversized grids, unwritable output paths), and
 3 on an internal error, reported as one line without a traceback.
 Informational values that should not flip the exit status are carried in
-notes, not verdicts.
+notes, not verdicts.  `main(argv)` may be called repeatedly in one process:
+it builds its parser once, on the first call, and looks up each command's
+handler by name at call time.
 """
 import argparse
 import json
@@ -514,7 +516,7 @@ def build_parser():
     p.add_argument("--expect", default=None,
                    help="comma list of properties that must hold")
     _add_json(p)
-    p.set_defaults(func=cmd_algebra_check)
+    p.set_defaults(func="cmd_algebra_check")
 
     p = sub.add_parser("examples", help="list or emit built-in structures")
     p.add_argument("action", choices=("list", "emit"))
@@ -525,7 +527,7 @@ def build_parser():
     p.add_argument("--beta", default=None, help="parameter for theorem22")
     p.add_argument("-o", "--output", default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_examples)
+    p.set_defaults(func="cmd_examples")
 
     ybe = sub.add_parser("ybe", help="build and verify Yang-Baxter operators")
     ysub = ybe.add_subparsers(dest="ybe_command", required=True)
@@ -538,7 +540,7 @@ def build_parser():
     p.add_argument("--gamma", required=True)
     p.add_argument("-o", "--output", default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_build)
+    p.set_defaults(func="cmd_ybe_build")
 
     p = ysub.add_parser("verify", help="check braid/QYBE/invertibility")
     p.add_argument("operator", nargs="?", default="-",
@@ -548,7 +550,7 @@ def build_parser():
     p.add_argument("--invertible", action="store_true")
     p.add_argument("--equivalence", action="store_true")
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_verify)
+    p.set_defaults(func="cmd_ybe_verify")
 
     p = ysub.add_parser("colored", help="verify the two-parameter family")
     p.add_argument("--algebra", required=True)
@@ -556,21 +558,21 @@ def build_parser():
     p.add_argument("--q", required=True)
     p.add_argument("--grid", type=int, default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_colored)
+    p.set_defaults(func="cmd_ybe_colored")
 
     p = ysub.add_parser("oneparam", help="verify the one-parameter family")
     p.add_argument("--algebra", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--grid", type=int, default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_oneparam)
+    p.set_defaults(func="cmd_ybe_oneparam")
 
     p = ysub.add_parser("wxz38", help="verify the (W,X,Z) system")
     p.add_argument("--algebra", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_wxz38)
+    p.set_defaults(func="cmd_ybe_wxz38")
 
     p = ysub.add_parser("phi", help="build the bracket-plus-flip operator")
     p.add_argument("--lie", required=True)
@@ -578,7 +580,7 @@ def build_parser():
     p.add_argument("--alpha", required=True)
     p.add_argument("-o", "--output", default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_phi)
+    p.set_defaults(func="cmd_ybe_phi")
 
     p = ysub.add_parser("super-colored",
                         help="verify the colored bracket family")
@@ -589,7 +591,7 @@ def build_parser():
     p.add_argument("--beta-table", required=True)
     p.add_argument("--colors", default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_super_colored)
+    p.set_defaults(func="cmd_ybe_super_colored")
 
     p = ysub.add_parser("jordan-restricted",
                         help="braid relation on the squares family")
@@ -598,29 +600,35 @@ def build_parser():
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_jordan_restricted)
+    p.set_defaults(func="cmd_ybe_jordan_restricted")
 
     p = ysub.add_parser("form8", help="match the 8x8 display template")
     p.add_argument("--algebra", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     _add_json(p)
-    p.set_defaults(func=cmd_ybe_form8)
+    p.set_defaults(func="cmd_ybe_form8")
 
     p = sub.add_parser("dualize", help="transpose a structure to its dual")
     p.add_argument("source")
     p.add_argument("-o", "--output", default=None)
     _add_json(p)
-    p.set_defaults(func=cmd_dualize)
+    p.set_defaults(func="cmd_dualize")
 
     return parser
 
 
+# built by the first main() call, not at import (see the module docstring)
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        report = args.func(args)
+        report = globals()[args.func](args)
     except (CliInputError, GridConfigError, PreconditionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

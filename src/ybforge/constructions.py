@@ -11,7 +11,8 @@ they carry their coefficient operators and are decided for all parameter
 values at once by exact coefficient expansion (`yb_vanishes_expanded`);
 the grid only orders the search for a witness and, with the paramgrid
 degree bounds, sets the `certified` flag.  Table-driven colored families
-are decided by exhausting their color set.
+are decided by exhausting their color set.  Scalar parameters, tables and
+grid points go through `exactla.to_rat`, so a float is a TypeError.
 """
 import functools
 import itertools
@@ -21,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .exactla import (Mat, common_den, mat_identity, mat_mul, mat_scale,
-                      mat_transpose)
+                      mat_transpose, to_rat)
 from .paramgrid import GridConfigError, GridResult, degree_bounds
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
@@ -47,7 +48,7 @@ class OneParamFamily(namedtuple("OneParamFamily", "n q coefficients")):
     __slots__ = ()
 
     def __call__(self, t):
-        t = Fraction(t)
+        t = to_rat(t)
         if t == 0:
             raise ValueError("t must be nonzero")
         return _combine(self.coefficients, (t, 1))
@@ -127,13 +128,13 @@ def r_algebra(A, alpha, beta, gamma):
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta, gamma = to_rat(alpha), to_rat(beta), to_rat(gamma)
     return _formula_op(A, unit, alpha, beta, Fraction(0), gamma)
 
 
 def thm32_predict(alpha, beta, gamma):
     """True iff (alpha, beta, gamma) falls in one of the three YB cases."""
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta, gamma = to_rat(alpha), to_rat(beta), to_rat(gamma)
     return ((alpha == gamma != 0 and beta != 0)
             or (beta == gamma != 0 and alpha != 0)
             or (alpha == beta == 0 and gamma != 0))
@@ -141,7 +142,7 @@ def thm32_predict(alpha, beta, gamma):
 
 def thm32_inverse(A, alpha, beta, gamma):
     """Formula inverse: swap and invert the scalars (0,0,gamma is its own case)."""
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta, gamma = to_rat(alpha), to_rat(beta), to_rat(gamma)
     if not thm32_predict(alpha, beta, gamma):
         raise NotYangBaxterError(
             "(%s,%s,%s) is not in a Yang-Baxter case" % (alpha, beta, gamma))
@@ -165,7 +166,7 @@ def matrix_form8(A2, alpha, beta):
     q8 = alpha/beta and eta8 is the (4,1) display entry, required to be 0
     or 1.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = to_rat(alpha), to_rat(beta)
     if alpha == 0 or beta == 0:
         raise PreconditionError("alpha and beta must be nonzero")
     if A2.n != 2:
@@ -203,7 +204,7 @@ def r_colored(A, p, q):
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
-    p, q = Fraction(p), Fraction(q)
+    p, q = to_rat(p), to_rat(q)
     coefficients = _common_den((_formula_op(A, unit, q, p, p, Fraction(0)),
                                 _formula_op(A, unit, -q, -p, -q, Fraction(0))))
 
@@ -229,7 +230,7 @@ def colored_qybe_verify(F, grid):
     table-driven families the grid must lie inside the declared color set,
     and the verdict is certified when it covers the whole set (exhaustion).
     """
-    grid = [Fraction(g) for g in grid]
+    grid = [to_rat(g) for g in grid]
     if len(set(grid)) != len(grid):
         raise GridConfigError("grid points must be distinct")
     if F.color_set is not None:
@@ -269,7 +270,7 @@ def s_oneparam(A, q):
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
-    q = Fraction(q)
+    q = to_rat(q)
     return OneParamFamily(A.n, q, _common_den((_formula_op(A, unit, q, 1, 1, 0),
                                                _formula_op(A, unit, -q, -1, -q, 0))))
 
@@ -289,7 +290,7 @@ def oneparam_verify(A, q, tgrid):
     certify) the verdict is still FAIL, with no witness.
     """
     fam = s_oneparam(A, q)
-    tgrid = [Fraction(t) for t in tgrid]
+    tgrid = [to_rat(t) for t in tgrid]
     if len(set(tgrid)) != len(tgrid):
         raise GridConfigError("t-grid points must be distinct")
     if any(t == 0 for t in tgrid):
@@ -317,14 +318,14 @@ def wxz_thm38(A, lam, mu):
     """W = ab(x)1 + lam 1(x)ab - b(x)a; X with both coefficients 1;
     Z = mu ab(x)1 + 1(x)ab - b(x)a."""
     unit = _require_unit(A)
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = to_rat(lam), to_rat(mu)
     return (_formula_op(A, unit, 1, lam, 1, 0), _formula_op(A, unit, 1, 1, 1, 0),
             _formula_op(A, unit, mu, 1, 1, 0))
 
 
 def wxz_from_colored(F, s, t):
     """W = R(s,s), X = R(s,t), Z = R(t,t)."""
-    s, t = Fraction(s), Fraction(t)
+    s, t = to_rat(s), to_rat(t)
     if F.color_set is not None:
         for c in (s, t):
             if c not in F.color_set:
@@ -341,8 +342,8 @@ def phi_super(L, z, alpha):
         raise PreconditionError(
             "z must be even and central (even=%s, commutes=%s)"
             % (rep.even, rep.commutes))
-    alpha = Fraction(alpha)
-    z = [Fraction(x) for x in z]
+    alpha = to_rat(alpha)
+    z = [to_rat(x) for x in z]
     # the template subtracts its swap term, so c_swap = -1 adds y(x)x
     op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
     inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)
@@ -362,16 +363,16 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
         raise PreconditionError(
             "z must be even and central (even=%s, commutes=%s)"
             % (rep.even, rep.commutes))
-    z = [Fraction(x) for x in z]
-    colors = tuple(Fraction(c) for c in colors)
-    atab = {Fraction(k): Fraction(v) for k, v in alpha_table.items()}
-    btab = {Fraction(k): Fraction(v) for k, v in beta_table.items()}
+    z = [to_rat(x) for x in z]
+    colors = tuple(to_rat(c) for c in colors)
+    atab = {to_rat(k): to_rat(v) for k, v in alpha_table.items()}
+    btab = {to_rat(k): to_rat(v) for k, v in beta_table.items()}
     for c in colors:
         if c not in atab or c not in btab:
             raise ValueError("tables must be total on the color set; missing %s" % c)
 
     def evaluate(u, v):
-        u = Fraction(u)
+        u = to_rat(u)
         # KeyError on colors outside the tables
         return _formula_op(L, z, atab[u], 0, 0, -btab[u], L.grading)
 

@@ -344,3 +344,29 @@ def test_jordan_r_restricted_t21_is_unconditional():
 def test_jordan_r_restricted_rejects_non_jordan():
     with pytest.raises(PreconditionError):
         jordan_r_restricted(MAT2, 1, 1, 1)
+
+
+# ---------- floats are refused ----------
+
+# 0.1 would otherwise silently become 3602879701896397/36028797018963968
+@pytest.mark.parametrize("build", [
+    lambda: r_algebra(DUAL2, 0.1, 1, 1),
+    lambda: thm32_predict(1, 0.5, 1),
+    lambda: thm32_inverse(DUAL2, 1, 2, 1.0),
+    lambda: matrix_form8(DUAL2, 0.5, 1),
+    lambda: r_colored(DUAL2, 2, 0.5),
+    lambda: s_oneparam(DUAL2, 0.5),
+    lambda: s_oneparam(DUAL2, 2)(0.5),
+    lambda: wxz_thm38(DUAL2, 1, 0.5),
+    lambda: wxz_from_colored(r_colored(DUAL2, 2, 3), 0.5, 1),
+    lambda: phi_super(HEIS3, Z_HEIS, 0.5),
+    lambda: r_super_colored(HEIS3, Z_HEIS, {0: 0.5}, {0: 1}, (0,)),
+    lambda: oneparam_verify(DUAL2, 2, [1, 2, 0.5]),
+    lambda: colored_qybe_verify(r_colored(DUAL2, 2, 3), [0, 1, 0.5]),
+], ids=["r_algebra", "thm32_predict", "thm32_inverse", "matrix_form8",
+        "r_colored", "s_oneparam", "oneparam_family", "wxz_thm38",
+        "wxz_from_colored", "phi_super", "r_super_colored", "oneparam_grid",
+        "colored_grid"])
+def test_floats_are_refused(build):
+    with pytest.raises(TypeError, match="float"):
+        build()

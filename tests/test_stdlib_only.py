@@ -4,7 +4,9 @@ numpy, sympy and hypothesis are installed for the tests, so an import of
 one of them in the package would still pass every other test here; this
 one parses each module and rejects any such import.  A second test keeps
 the CLI's start-up light: every `ybforge` command is a fresh process, so
-each module that `import ybforge.cli` pulls in is paid for on every call.
+each module that `import ybforge.cli` pulls in is paid for on every call,
+and so would be an argument parser built at import (the first `main` call
+builds it; a process that only imports the module never needs it).
 """
 import ast
 import os
@@ -47,6 +49,7 @@ import sys
 before = set(sys.modules)
 import ybforge.cli
 print(" ".join(sorted(set(sys.modules) - before)))
+print(ybforge.cli._PARSER is None)
 """
 
 
@@ -54,6 +57,8 @@ def test_cli_import_leaves_heavy_modules_out():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    loaded = set(proc.stdout.split())
+    modules, parser_unbuilt = proc.stdout.splitlines()
+    loaded = set(modules.split())
     assert "ybforge.cli" in loaded
     assert [name for name in HEAVY_AT_START_UP if name in loaded] == []
+    assert parser_unbuilt == "True"
