@@ -9,7 +9,8 @@ everywhere; there is no tolerance anywhere in this package.
 One helper, `common_den`, brings rationals to integer numerators over one
 denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
 the rational meant.  One elimination, `gauss_jordan`, serves `mat_inverse`
-([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
+([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]);
+`mat_nonsingular` needs it only when a rank test mod a prime cannot decide.
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,19 +20,35 @@ from . import _kernels
 Rat = Fraction
 
 
-def rat_from_str(s):
-    """Parse "p/q", "p" or a decimal "p.d" into a Rat; anything but a string
-    is a TypeError.  Exponent forms ("1e9") are a ValueError: their size is
-    not bounded by the length of the text."""
+def rat_pair_from_str(s):
+    """(p, q), q > 0, with p/q the value of the text s; q need not be
+    reduced.  The forms "p" and "p/q" of rat_to_str are read straight to
+    integers; any other string goes through Fraction's parser, which also
+    takes a decimal "p.d", blanks around, a leading "+", digit-group
+    underscores and non-ASCII decimal digits.  Anything but a string is a
+    TypeError; an exponent form ("1e9"), whose size is not bounded by the
+    length of the text, and a zero denominator are a ValueError."""
     if not isinstance(s, str):
         raise TypeError("expected a rational as a string, got %s %r"
                         % (type(s).__name__, s))
+    if s.isascii():
+        p, slash, q = s.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            q = int(q) if slash else 1
+            if q:
+                return int(p), q
     if "e" in s or "E" in s:
         raise ValueError("exponent form not accepted: %r" % s)
     try:
-        return Fraction(s.strip())
+        x = Fraction(s.strip())
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % s) from None
+    return x.numerator, x.denominator
+
+
+def rat_from_str(s):
+    """The text s (see rat_pair_from_str) as a Rat."""
+    return Fraction(*rat_pair_from_str(s))
 
 
 def to_rat(x):
@@ -112,10 +129,6 @@ def mat_from_rows(rows):
     return Mat(r, c, num, den)
 
 
-def mat_zeros(rows, cols):
-    return Mat(rows, cols, [0] * (rows * cols), 1, _reduced=True)
-
-
 def mat_identity(n):
     num = [0] * (n * n)
     for i in range(n):
@@ -146,28 +159,10 @@ def _aligned(a, b):
     return na, nb, d
 
 
-def mat_add(a, b):
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    na, nb, d = _aligned(a, b)
-    return Mat(a.rows, a.cols, [x + y for x, y in zip(na, nb)], d)
-
-
-def mat_sub(a, b):
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    na, nb, d = _aligned(a, b)
-    return Mat(a.rows, a.cols, [x - y for x, y in zip(na, nb)], d)
-
-
 def mat_scale(a, s):
     s = Fraction(s)
     return Mat(a.rows, a.cols, [x * s.numerator for x in a.num],
                a.den * s.denominator)
-
-
-def mat_is_zero(a):
-    return not any(a.num)
 
 
 def mat_transpose(a):
@@ -229,26 +224,45 @@ def mat_inverse(a):
     return mat_from_rows([row[n:] for row in aug])
 
 
+# The prime of mat_nonsingular's rank test (a Mersenne prime).
+_P = 2 ** 61 - 1
+
+
+def mat_nonsingular(a):
+    """True iff a is invertible.  The numerators are row-reduced mod _P, one
+    sparse row at a time against the pivot rows so far: full rank mod _P
+    proves det != 0 over Q.  A matrix singular mod _P may be invertible over
+    Q (det a multiple of _P), so mat_inverse decides that case."""
+    if a.rows != a.cols:
+        raise ValueError("not square")
+    n = a.cols
+    num = a.num
+    pivots = {}
+    for i in range(0, n * n, n):
+        row = {j: x % _P for j, x in enumerate(num[i:i + n]) if x % _P}
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = pow(row[col], -1, _P)
+                pivots[col] = {j: x * inv % _P for j, x in row.items()}
+                break
+            f = row[col]
+            for j, y in prow.items():
+                x = (row.get(j, 0) - f * y) % _P
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        else:
+            return mat_inverse(a) is not None
+    return True
+
+
 # Vectors are plain lists of Rat.
-
-def vec_is_zero(v):
-    return not any(v)
-
 
 def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def mat_apply(a, v):
-    """Apply a to a coordinate vector (length a.cols)."""
-    if len(v) != a.cols:
-        raise ValueError("dim mismatch")
-    out = []
-    for i in range(a.rows):
-        base = i * a.cols
-        s = sum(a.num[base + j] * v[j] for j in range(a.cols) if a.num[base + j])
-        out.append(Fraction(s, a.den) if isinstance(s, int) else s / a.den)
-    return out
 
 
 def mat_from_columns(vecs):

@@ -21,11 +21,12 @@ factor share one denominator, so every word of the expansion carries the
 same denominator and its numerators compare exactly too.
 """
 from collections import namedtuple
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, ne
 
-from .exactla import (Mat, common_den, mat_identity, mat_inverse, mat_mul,
-                      rat_from_str)
+from .exactla import (Mat, common_den, mat_mul, mat_nonsingular,
+                      rat_pair_from_str)
 
 
 class LinOp2:
@@ -36,6 +37,7 @@ class LinOp2:
             raise ValueError("expected %d x %d matrix" % (n * n, n * n))
         self.n = n
         self.mat = mat
+        self._cols = None
         self._views = {}
 
     def __eq__(self, other):
@@ -81,21 +83,32 @@ def twist(n):
     return LinOp2(n, Mat(n * n, n * n, num, 1, _reduced=True))
 
 
-def identity2(n):
-    return LinOp2(n, mat_identity(n * n))
-
-
 def compose(a, b):
     if a.n != b.n:
         raise ValueError("dim mismatch")
     return LinOp2(a.n, mat_mul(a.mat, b.mat))
 
 
+def _nonzero_columns(r):
+    # [(row, numerator), ...] over the nonzero entries of each column of
+    # r.mat, found by one scan of the numerators and kept on the operator
+    cols = r._cols
+    if cols is None:
+        nn = r.n * r.n
+        num = r.mat.num
+        cols = [[] for _ in range(nn)]
+        for idx in compress(range(len(num)), num):
+            row, c = divmod(idx, nn)
+            cols[c].append((row, num[idx]))
+        r._cols = cols
+    return cols
+
+
 def _slot_view(r, pos):
-    # Sparse view of r.mat.num on slot pair pos, built once per operator:
-    # view[idx] = (rest, column) for the basis index idx of V(x)3, where
-    # column lists (offset, numerator) over the nonzero entries of the column
-    # of r that idx feeds, and offset + rest is the output index.
+    # Sparse view of r on slot pair pos, built once per operator from its
+    # nonzero columns: view[idx] = (rest, column) for the basis index idx of
+    # V(x)3, where column lists (offset, numerator) over the column of r that
+    # idx feeds, and offset + rest is the output index.
     view = r._views.get(pos)
     if view is None:
         n = r.n
@@ -112,10 +125,8 @@ def _slot_view(r, pos):
                      for idx in range(nn * n)]
         else:
             raise ValueError("pos must be 12, 13 or 23")
-        num = r.mat.num
-        cols = [tuple((place[row], num[row * nn + c])
-                      for row in range(nn) if num[row * nn + c])
-                for c in range(nn)]
+        cols = [tuple((place[row], m) for row, m in col)
+                for col in _nonzero_columns(r)]
         view = [(rest, cols[c]) for c, rest in split]
         r._views[pos] = view
     return view
@@ -188,19 +199,6 @@ def _words_witness(lhs, rhs):
                  for flat in (best[1], best[0]))
 
 
-def _words_diff(lhs, rhs):
-    """lhs - rhs as a dense Mat on V(x)3."""
-    n3 = lhs[0][0].n ** 3
-    num = [0] * (n3 * n3)
-    for c, a, b in _columns(lhs, rhs):
-        for row in a.keys() | b.keys():
-            num[row * n3 + c] = a.get(row, 0) - b.get(row, 0)
-    den = 1
-    for op, _pos in lhs:
-        den *= op.mat.den
-    return Mat(n3, n3, num, den)
-
-
 def _braid_words(r):
     return ((r, 12), (r, 23), (r, 12)), ((r, 23), (r, 12), (r, 23))
 
@@ -232,7 +230,7 @@ def qybe_witness(r):
 def is_yb_operator(r):
     """Braid + invertibility; yb = both (the definition of a YB operator)."""
     braid = braid_check(r)
-    invertible = mat_inverse(r.mat) is not None
+    invertible = mat_nonsingular(r.mat)
     return YbReport(braid, invertible, braid and invertible)
 
 
@@ -243,11 +241,6 @@ def braid_qybe_equiv(r):
     q1 = qybe_check(compose(r, tau))
     q2 = qybe_check(compose(tau, r))
     return b == q1 == q2
-
-
-def yb_commutator(r, s, t):
-    """[R,S,T] = R12 S13 T23 - T23 S13 R12 on V^(x3)."""
-    return LinOp3(r.n, _words_diff(*_yb_words(r, s, t)))
 
 
 def yb_vanishes(r, s, t):
@@ -336,32 +329,20 @@ def _braid_kills(r, vecs):
 
 
 def linop2_to_json(r):
-    """Each entry in rat_to_str's form, from the numerators with one gcd."""
-    m = r.mat
-
-    def entry(x):
-        g = gcd(x, m.den)
-        return str(x // g) if g == m.den else "%d/%d" % (x // g, m.den // g)
-
-    return {"kind": "linop2", "n": r.n,
-            "mat": [[entry(x) for x in m.num[i:i + m.cols]]
-                    for i in range(0, len(m.num), m.cols)]}
-
-
-def _parse_entry(x):
-    # (p, q) of an entry: the forms "p" and "p/q" of rat_to_str directly,
-    # anything else through rat_from_str
-    if isinstance(x, str) and x.isascii():
-        p, slash, q = x.partition("/")
-        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
-            q = int(q) if slash else 1
-            if q:
-                return int(p), q
-    x = rat_from_str(x)
-    return x.numerator, x.denominator
+    """Each entry in rat_to_str's form; only the nonzero ones are formatted."""
+    den, nn = r.mat.den, r.mat.cols
+    rows = [["0"] * nn for _ in range(nn)]
+    for c, col in enumerate(_nonzero_columns(r)):
+        for row, x in col:
+            g = gcd(x, den)
+            rows[row][c] = (str(x // g) if g == den
+                            else "%d/%d" % (x // g, den // g))
+    return {"kind": "linop2", "n": r.n, "mat": rows}
 
 
 def linop2_from_json(obj):
+    """Entries in any form rat_from_str accepts; only those other than the
+    string "0", found in one scan, are parsed."""
     if not isinstance(obj, dict) or obj.get("kind") != "linop2":
         raise ValueError("not a linop2 object")
     n = obj["n"]
@@ -374,6 +355,11 @@ def linop2_from_json(obj):
         if not isinstance(row, list) or len(row) != n * n:
             raise ValueError("each row of mat must be a list of %d entries"
                              % (n * n))
-    pq = [_parse_entry(x) for row in mat for x in row]
+    flat = list(chain.from_iterable(mat))
+    where = list(compress(range(len(flat)), map(ne, flat, repeat("0"))))
+    pq = [rat_pair_from_str(flat[i]) for i in where]
     den = lcm(*[q for _p, q in pq])
-    return LinOp2(n, Mat(n * n, n * n, [p * (den // q) for p, q in pq], den))
+    num = [0] * len(flat)
+    for i, (p, q) in zip(where, pq):
+        num[i] = p * (den // q)
+    return LinOp2(n, Mat(n * n, n * n, num, den))

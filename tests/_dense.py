@@ -6,15 +6,20 @@ package used before its checks moved to integer numerators over one common
 denominator.  They read only the public `Fraction` tables (`A.c`, `S.b`,
 `S.theta`, `r.mat.to_rows()`), so a test can compare verdicts, operators and
 files of the package against them.
+
+The last section holds dense matrix helpers that the package itself no
+longer calls (entrywise sums and differences, zero tests, matrix times
+vector, the identity on V(x)V and the dense commutator [R,S,T]); tests
+build their references with them.
 """
 import itertools
 from fractions import Fraction
 
-from ybforge.exactla import (mat_from_columns, mat_from_rows, rat_from_str,
-                             rat_to_str, vec_is_zero)
+from ybforge.exactla import (Mat, _aligned, mat_from_columns, mat_from_rows,
+                             mat_identity, rat_from_str, rat_to_str)
 from ybforge.structures import (SuperLieSpec, _w_generators, dualize_co,
                                 group_elements)
-from ybforge.ybcore import LinOp2
+from ybforge.ybcore import LinOp2, LinOp3, _columns, _yb_words
 
 
 def basis_vec(n, i):
@@ -194,3 +199,65 @@ def linop2_from_json(obj):
     n = obj["n"]
     return LinOp2(n, mat_from_rows([[rat_from_str(x) for x in row]
                                     for row in obj["mat"]]))
+
+
+# ---------- dense matrix helpers ----------
+
+def mat_zeros(rows, cols):
+    return Mat(rows, cols, [0] * (rows * cols), 1, _reduced=True)
+
+
+def mat_add(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    na, nb, d = _aligned(a, b)
+    return Mat(a.rows, a.cols, [x + y for x, y in zip(na, nb)], d)
+
+
+def mat_sub(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    na, nb, d = _aligned(a, b)
+    return Mat(a.rows, a.cols, [x - y for x, y in zip(na, nb)], d)
+
+
+def mat_is_zero(a):
+    return not any(a.num)
+
+
+def vec_is_zero(v):
+    return not any(v)
+
+
+def mat_apply(a, v):
+    """Apply a to a coordinate vector (length a.cols)."""
+    if len(v) != a.cols:
+        raise ValueError("dim mismatch")
+    out = []
+    for i in range(a.rows):
+        base = i * a.cols
+        s = sum(a.num[base + j] * v[j] for j in range(a.cols) if a.num[base + j])
+        out.append(Fraction(s, a.den) if isinstance(s, int) else s / a.den)
+    return out
+
+
+def identity2(n):
+    return LinOp2(n, mat_identity(n * n))
+
+
+def _words_diff(lhs, rhs):
+    """lhs - rhs as a dense Mat on V(x)3."""
+    n3 = lhs[0][0].n ** 3
+    num = [0] * (n3 * n3)
+    for c, a, b in _columns(lhs, rhs):
+        for row in a.keys() | b.keys():
+            num[row * n3 + c] = a.get(row, 0) - b.get(row, 0)
+    den = 1
+    for op, _pos in lhs:
+        den *= op.mat.den
+    return Mat(n3, n3, num, den)
+
+
+def yb_commutator(r, s, t):
+    """[R,S,T] = R12 S13 T23 - T23 S13 R12 on V^(x3)."""
+    return LinOp3(r.n, _words_diff(*_yb_words(r, s, t)))

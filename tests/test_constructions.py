@@ -14,11 +14,12 @@ from ybforge.constructions import (NotYangBaxterError, colored_qybe_verify,
                                    r_colored, r_super_colored, s_oneparam,
                                    thm32_inverse, thm32_predict, wxz_from_colored,
                                    wxz_thm38)
-from ybforge.exactla import mat_add, mat_identity, mat_mul, mat_scale
+from _dense import identity2, mat_add
+from ybforge.exactla import mat_identity, mat_mul, mat_scale
 from ybforge.paramgrid import GridConfigError, default_grid
 from ybforge.structures import MissingUnitError, PreconditionError
-from ybforge.ybcore import (LinOp2, braid_check, compose, identity2,
-                            is_yb_operator, twist, wxz_check)
+from ybforge.ybcore import (LinOp2, braid_check, compose, is_yb_operator,
+                            twist, wxz_check)
 
 DUAL2 = registry.build("dual2")
 MAT2 = registry.build("mat2")

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ybforge.exactla import (Mat, first_mismatch, kron, mat_add, mat_apply,
-                             mat_from_columns, mat_from_rows, mat_identity,
-                             mat_inverse, mat_is_zero, mat_mul, mat_scale,
-                             mat_sub, mat_transpose,
-                             mat_zeros, project_onto, rat_from_str,
-                             rat_to_str, row_space_basis, vec_is_zero)
+from _dense import (mat_add, mat_apply, mat_is_zero, mat_sub, mat_zeros,
+                    vec_is_zero)
+from ybforge.exactla import (Mat, first_mismatch, kron, mat_from_columns,
+                             mat_from_rows, mat_identity, mat_inverse,
+                             mat_mul, mat_scale, mat_transpose, project_onto,
+                             rat_from_str, rat_pair_from_str, rat_to_str,
+                             row_space_basis)
 
 
 def rows(m):
@@ -44,6 +45,41 @@ def test_rat_from_str_refuses_exponent_forms():
     for s in ("1e3000000", "1E3000000", "2.5e-1", "1/2e3"):
         with pytest.raises(ValueError, match="exponent"):
             rat_from_str(s)
+
+
+# Every accepted form agrees with Fraction(s.strip()); the refusals are the
+# exponent forms, zero denominators, non-strings and the Unicode digits that
+# are not decimal digits (a decimal digit of any script is read as Fraction
+# reads it).
+ACCEPTED = ["0", "-0", "00", "007", "12", "-12", "3/4", "-3/4", "6/4",
+            "0/5", "-0/5", "10/1", str(2 ** 80), "-%d/%d" % (3 ** 50, 2 ** 70),
+            " 5", "5 ", "\t-2/3\n", "+1", "+1/2", "1.5", "-0.25", ".5", "5.",
+            "0.0", "1_000", "1_0/2_0", "\u0663", "\uff13", "\uff11/\uff12",
+            "-\u0661\u0662"]
+REFUSED = [(s, ValueError) for s in (
+    "1e0", "1E3", "2.5e-1", "1/2e3",                     # exponent forms
+    "1/0", "-3/00", "0/0", " 1/0 ",                      # zero denominators
+    "\u00b2", "\u00bd", "\u216b", "1\u00b2",                 # not decimal digits
+    "", "-", "/", "1/", "/2", "1/-2", "--1", "- 1", "1 /2", "0x10", "inf",
+    "nan")]
+REFUSED += [(x, TypeError) for x in (0, 5, 0.5, None, b"1", Fraction(1, 2),
+                                     ["1"])]
+
+
+@pytest.mark.parametrize("s", ACCEPTED)
+def test_rat_from_str_agrees_with_fraction_on_accepted_forms(s):
+    want = Fraction(s.strip())
+    assert rat_from_str(s) == want and type(rat_from_str(s)) is Fraction
+    p, q = rat_pair_from_str(s)
+    assert q > 0 and Fraction(p, q) == want
+
+
+@pytest.mark.parametrize("s, error", REFUSED, ids=repr)
+def test_rat_from_str_refusals(s, error):
+    with pytest.raises(error):
+        rat_from_str(s)
+    with pytest.raises(error):
+        rat_pair_from_str(s)
 
 
 def test_mat_canonical_form():

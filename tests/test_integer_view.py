@@ -10,6 +10,7 @@ unit) and must give the same verdicts, operators and files.
 """
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -252,7 +253,10 @@ def test_operator_json_round_trips_and_matches_the_old_writer(r):
 
 ENTRIES = {" 2": 2, "+1": 1, "2/4": Fraction(1, 2), "1.5": Fraction(3, 2),
            "-0": 0, "0/7": 0, "-12/8": Fraction(-3, 2), "007": 7,
-           "\u0663": 3}    # an Arabic-Indic digit, read as before
+           "\u0663": 3,    # an Arabic-Indic digit, read as before
+           "0": 0, "00": 0, "0/5": 0, " 0": 0, "0.0": 0,
+           "\uff13": 3}    # a fullwidth digit, read as before
+BAD_ENTRIES = ["1/0", "1e3", 3, None, "1/-2", "--1", "1/", 0, "1e0"]
 
 
 @pytest.mark.parametrize("text", sorted(ENTRIES))
@@ -271,7 +275,7 @@ def test_mixed_entry_forms_share_one_denominator():
     assert linop2_from_json(doc) == dense.linop2_from_json(doc)
 
 
-@pytest.mark.parametrize("entry", ["1/0", "1e3", 3, None, "1/-2", "--1", "1/"])
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
 def test_bad_operator_entries_still_exit_2(capsys, tmp_path, entry):
     path = tmp_path / "op.json"
     path.write_text(json.dumps({"kind": "linop2", "n": 1, "mat": [[entry]]}))
@@ -281,6 +285,44 @@ def test_bad_operator_entries_still_exit_2(capsys, tmp_path, entry):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def sparse_doc(entry, at):
+    """A 3-dimensional operator file of "0" entries with entry at flat
+    index at and one nonzero entry elsewhere."""
+    flat = ["0"] * 81
+    flat[at] = entry
+    flat[(at + 40) % 81] = "-5/6"
+    return {"kind": "linop2", "n": 3,
+            "mat": [flat[i:i + 9] for i in range(0, 81, 9)]}
+
+
+@pytest.mark.parametrize("at", [0, 37, 80])
+def test_entries_among_zeros_read_as_the_dense_reader_reads_them(at):
+    for text in ENTRIES:
+        doc = sparse_doc(text, at)
+        assert linop2_from_json(doc) == dense.linop2_from_json(doc)
+    for entry in BAD_ENTRIES:
+        doc = sparse_doc(entry, at)
+        with pytest.raises((TypeError, ValueError)) as old:
+            dense.linop2_from_json(doc)
+        with pytest.raises(old.type):
+            linop2_from_json(doc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sparse_operator_files_match_the_dense_reader_and_writer(n):
+    rng = random.Random(1600 + n)
+    for _ in range(30):
+        density = rng.uniform(0, 0.1)
+        rows = [[Fraction(rng.choice([-7, -2, -1, 1, 3, 12]), rng.randint(1, 6))
+                 if rng.random() < density else 0 for _ in range(n * n)]
+                for _ in range(n * n)]
+        r = LinOp2(n, mat_from_rows(rows))
+        text = json.dumps(linop2_to_json(r))
+        assert text == json.dumps(dense.linop2_to_json(r))
+        doc = json.loads(text)
+        assert linop2_from_json(doc) == dense.linop2_from_json(doc) == r
 
 
 # ---------- floats are refused ----------

@@ -16,7 +16,8 @@ from ybforge import registry
 from ybforge.constructions import (_adjoin_unit, _common_den, phi_super,
                                    r_algebra, r_colored, r_super_colored,
                                    s_oneparam, wxz_thm38)
-from ybforge.exactla import mat_from_columns, vec_is_zero
+from _dense import vec_is_zero
+from ybforge.exactla import mat_from_columns
 from ybforge.structures import (AlgebraSpec, SuperLieSpec, basis_vec,
                                 validate_colorlie)
 from ybforge.ybcore import LinOp2

@@ -13,13 +13,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ybforge.constructions import r_algebra
-from ybforge.exactla import (Mat, first_mismatch, kron, mat_apply,
-                             mat_from_rows, mat_identity, mat_mul, mat_sub)
+from _dense import mat_apply, mat_sub, yb_commutator
+from ybforge.exactla import (Mat, first_mismatch, kron, mat_from_rows,
+                             mat_identity, mat_mul)
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
 from ybforge.ybcore import (LinOp2, braid_check, braid_witness, lift,
                             qybe_check, qybe_witness, restricted_braid_check,
-                            twist, yb_commutator)
+                            twist)
 
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None,
                   database=None)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ybforge import registry
-from ybforge.exactla import project_onto, row_space_basis, vec_is_zero
+from _dense import vec_is_zero
+from ybforge.exactla import project_onto, row_space_basis
 from ybforge.structures import (PreconditionError, basis_vec, jordan_w_check,
                                 mul_vec, w_subspace_basis)
 

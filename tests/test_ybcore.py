@@ -10,13 +10,13 @@ import pytest
 
 from ybforge import registry
 from ybforge.constructions import r_algebra
-from ybforge.exactla import (Mat, mat_apply, mat_from_rows, mat_identity,
-                             mat_is_zero)
+from _dense import identity2, mat_apply, mat_is_zero, yb_commutator
+from ybforge.exactla import Mat, mat_from_rows, mat_identity
 from ybforge.ybcore import (LinOp2, LinOp3, braid_check, braid_qybe_equiv,
-                            braid_witness, compose, identity2, is_yb_operator,
-                            lift, linop2_from_json, linop2_to_json,
-                            qybe_check, qybe_witness, restricted_braid_check,
-                            twist, wxz_check, yb_commutator)
+                            braid_witness, compose, is_yb_operator, lift,
+                            linop2_from_json, linop2_to_json, qybe_check,
+                            qybe_witness, restricted_braid_check, twist,
+                            wxz_check)
 
 DUAL2 = registry.build("dual2")
 
