@@ -22,7 +22,7 @@ from .constructions import (colored_qybe_verify, jordan_r_restricted,
                             matrix_form8, oneparam_verify, phi_super,
                             r_algebra, r_colored, r_super_colored,
                             thm32_predict, wxz_thm38)
-from .exactla import mat_nonsingular, rat_from_str, rat_to_str
+from .exactla import mat_inverse, rat_from_str, rat_to_str
 from .paramgrid import GridConfigError, default_grid, degree_bounds
 from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          PreconditionError, SuperLieSpec,
@@ -339,7 +339,7 @@ def cmd_ybe_verify(args):
             witness = qybe_witness(op)
             report.add("qybe", witness is None, witness=witness)
         elif name == "invertible":
-            report.add("invertible", mat_nonsingular(op.mat))
+            report.add("invertible", mat_inverse(op.mat) is not None)
         else:
             report.add("braid-qybe-equivalence", braid_qybe_equiv(op))
     return report

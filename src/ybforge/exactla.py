@@ -9,8 +9,7 @@ everywhere; there is no tolerance anywhere in this package.
 One helper, `common_den`, brings rationals to integer numerators over one
 denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
 the rational meant.  One elimination, `gauss_jordan`, serves `mat_inverse`
-([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]);
-`mat_nonsingular` needs it only when a rank test mod a prime cannot decide.
+([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -222,41 +221,6 @@ def mat_inverse(a):
     if gauss_jordan(aug, n, full_rank=True) is None:
         return None
     return mat_from_rows([row[n:] for row in aug])
-
-
-# The prime of mat_nonsingular's rank test (a Mersenne prime).
-_P = 2 ** 61 - 1
-
-
-def mat_nonsingular(a):
-    """True iff a is invertible.  The numerators are row-reduced mod _P, one
-    sparse row at a time against the pivot rows so far: full rank mod _P
-    proves det != 0 over Q.  A matrix singular mod _P may be invertible over
-    Q (det a multiple of _P), so mat_inverse decides that case."""
-    if a.rows != a.cols:
-        raise ValueError("not square")
-    n = a.cols
-    num = a.num
-    pivots = {}
-    for i in range(0, n * n, n):
-        row = {j: x % _P for j, x in enumerate(num[i:i + n]) if x % _P}
-        while row:
-            col = min(row)
-            prow = pivots.get(col)
-            if prow is None:
-                inv = pow(row[col], -1, _P)
-                pivots[col] = {j: x * inv % _P for j, x in row.items()}
-                break
-            f = row[col]
-            for j, y in prow.items():
-                x = (row.get(j, 0) - f * y) % _P
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-        else:
-            return mat_inverse(a) is not None
-    return True
 
 
 # Vectors are plain lists of Rat.

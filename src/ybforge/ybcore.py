@@ -25,7 +25,7 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, ne
 
-from .exactla import (Mat, common_den, mat_mul, mat_nonsingular,
+from .exactla import (Mat, common_den, mat_inverse, mat_mul,
                       rat_pair_from_str)
 
 
@@ -230,7 +230,7 @@ def qybe_witness(r):
 def is_yb_operator(r):
     """Braid + invertibility; yb = both (the definition of a YB operator)."""
     braid = braid_check(r)
-    invertible = mat_nonsingular(r.mat)
+    invertible = mat_inverse(r.mat) is not None
     return YbReport(braid, invertible, braid and invertible)
 
 

@@ -1,6 +1,5 @@
 """The one elimination routine and the one common-denominator helper of
-`exactla` against the routines they replaced, and the modular invertibility
-test `mat_nonsingular` against `mat_inverse`.
+`exactla` against the routines they replaced.
 
 The references are test-local copies of the earlier implementations: the
 Gauss-Jordan loop of `mat_inverse`, the incremental reduction of
@@ -16,10 +15,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybforge import exactla
 from ybforge.exactla import (Mat, common_den, gauss_jordan, mat_from_columns,
-                             mat_from_rows, mat_inverse, mat_nonsingular,
-                             project_onto, row_space_basis, vec_dot)
+                             mat_from_rows, mat_inverse, project_onto,
+                             row_space_basis, vec_dot)
 
 SEEDED = settings(derandomize=True, max_examples=120, deadline=None,
                   database=None)
@@ -223,54 +221,6 @@ def test_mat_inverse_matches_the_old_loop(shape):
             for j in range(n):
                 assert sum(rows[i][k] * inv_rows[k][j]
                            for k in range(n)) == (i == j)
-
-
-@SEEDED
-@given(shapes, st.booleans())
-def test_mat_nonsingular_matches_mat_inverse(shape, integral):
-    seed, n, _, rank = shape
-    a = mat_from_rows(seeded_rows(seed, n, n, min(rank, n)))
-    if integral:
-        a = Mat(n, n, a.num)    # the numerators alone: same rank, den 1
-    assert mat_nonsingular(a) == (mat_inverse(a) is not None)
-
-
-P = 2 ** 61 - 1
-
-
-@SEEDED
-@given(st.integers(1, 4),
-       st.lists(st.sampled_from([0, 0, 1, -1, 2, P, -P, 2 * P, P + 1]),
-                min_size=16, max_size=16))
-def test_mat_nonsingular_with_multiples_of_the_prime(n, entries):
-    # entries that vanish mod P make matrices singular mod P whatever their
-    # rank over Q, so the exact fallback decides them
-    a = Mat(n, n, entries[:n * n])
-    assert mat_nonsingular(a) == (mat_inverse(a) is not None)
-
-
-def test_mat_nonsingular_fixed_cases(monkeypatch):
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return mat_inverse(a)
-
-    monkeypatch.setattr(exactla, "mat_inverse", counted)
-    # det = P: singular mod P, invertible over Q, decided by the fallback
-    diag = Mat(2, 2, [P, 0, 0, 1])
-    assert mat_nonsingular(diag)
-    assert calls == [diag]
-    # full rank mod P needs no fallback
-    assert mat_nonsingular(mat_from_rows([[1, 2], ["1/3", 4]]))
-    assert len(calls) == 1
-    deficient = mat_from_rows([[1, 2, 3, 4], [0, 1, 1, 0], [1, 3, 4, 4],
-                               [2, 0, 1, "1/2"]])
-    assert not mat_nonsingular(deficient)
-    assert not mat_nonsingular(Mat(1, 1, [0]))
-    assert len(calls) == 3
-    with pytest.raises(ValueError, match="not square"):
-        mat_nonsingular(Mat(2, 3, [1, 0, 0, 0, 1, 0]))
 
 
 @SEEDED
