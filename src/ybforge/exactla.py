@@ -51,11 +51,11 @@ def rat_from_str(s):
 
 
 def to_rat(x):
-    """x (Rat, int or string) as a Rat; a float is a TypeError: 0.1 would
-    silently become 3602879701896397/36028797018963968."""
+    """x (Rat, int or string) as a Rat, a Rat unchanged; a float is a
+    TypeError: 0.1 would silently become 3602879701896397/36028797018963968."""
     if isinstance(x, float):
         raise TypeError("floats are not accepted as rationals, got %r" % x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def rat_to_str(x):

@@ -20,7 +20,12 @@ which over Q is equivalent to the Jordan identity; symmetrized sums each
 generator over the four slots (holds in any Jordan algebra via linearized
 power-associativity); full takes all four slots separately (fails already
 for 2x2 symmetric matrices).  Checkers take the mode explicitly and never
-guess.
+guess.  The two summing modes evaluate both orders of a pair at once:
+H(a,b,c,d) = G(a,b,c,d) + G(b,a,c,d) = ((Y c) d) - Y (c d), Y = ab + ba.
+A pattern3 generator is the sum of H(q,r,l,s) over the splits {q,r | s} of
+{i,j,k}; symmetrized adds H(q,r,s,l) (slot 3) and, as slots 0 and 1 pair
+up, H(l,p0,p1,p2) over the orderings p.  That halves the products; full
+keeps G, as its generators put e_l in one slot alone.
 
 The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j]:
 pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
@@ -34,7 +39,7 @@ each is homogeneous in the constants, so its verdict on the numerators is
 the verdict over Q.  A float in a spec is a TypeError.
 """
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -317,24 +322,41 @@ def w_subspace_basis(n, mode):
     return WSubspace(n, mode, tuple(tuple(v) for v in row_space_basis(gens)))
 
 
+def _w_pair_sums(n, mode):
+    """The W generators of a paired mode, in the order of _w_generators,
+    each as (t, m) pairs: the generator is the sum of m H(t)."""
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        splits = Counter(((i, j, k), (i, k, j), (j, k, i))).items()
+        perms = Counter(itertools.permutations((i, j, k))).items()
+        for l in range(n):
+            terms = [((q, r, l, s), m) for (q, r, s), m in splits]
+            if mode == "symmetrized":
+                terms += [((q, r, s, l), m) for (q, r, s), m in splits]
+                terms += [((min(l, p), max(l, p), q, s), m) for (p, q, s), m in perms]
+            yield terms
+
+
 def _g_vanishes_on_w(A, mode):
     """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
-    generator, stopping at the first that is not (cached sums are only read)."""
-    num = A.num
+    generator, stopping at the first that is not; the paired modes sum H
+    (see the module doc).  Cached terms are only read."""
+    num, r, paired = A.num, range(A.n), mode in ("pattern3", "symmetrized")
+    x = [[_add(dict(num[a][b]), num[b][a]) for b in r] for a in r] if paired else num
 
     @cache
-    def abc(a, b, c):
-        return _mul(A, num[a][b], {c: 1})
+    def xc(a, b, c):
+        return _mul(A, x[a][b], {c: 1})
 
-    @cache
-    def g(a, b, c, d):
-        return _add(_mul(A, abc(a, b, c), {d: 1}), _mul(A, num[a][b], num[c][d]),
-                    -1)
+    def term(a, b, c, d):
+        return _add(_mul(A, xc(a, b, c), {d: 1}), _mul(A, x[a][b], num[c][d]), -1)
 
-    for terms in _w_generators(A.n, mode):
+    if mode != "pattern3":  # no H(t) of pattern3 recurs in another generator
+        term = cache(term)
+    for terms in (_w_pair_sums(A.n, mode) if paired else
+                  ([(t, 1) for t in ts] for ts in _w_generators(A.n, mode))):
         acc = {}
-        for t in terms:
-            _add(acc, g(*t))
+        for t, m in terms:
+            _add(acc, term(*t), m)
         if any(acc.values()):
             return False
     return True
@@ -464,6 +486,13 @@ def _json_list(value, what, ints=False):
 
 
 def structure_from_json(obj):
+    """The structure of a structure_to_json document; each distinct entry
+    text is parsed once per file, by rat_from_str."""
+    parsed = cache(rat_from_str)
+
+    def rat(x):  # anything but a string is refused by rat_from_str itself
+        return parsed(x) if isinstance(x, str) else rat_from_str(x)
+
     if not isinstance(obj, dict):
         raise ValueError("a structure must be a JSON object")
     kind = obj.get("kind")
@@ -475,11 +504,11 @@ def structure_from_json(obj):
         raise ValueError("dim must be at least 1")
 
     def t3(table):
-        return _frac_table(table, len(basis), kind, rat_from_str)
+        return _frac_table(table, len(basis), kind, rat)
     if kind == "algebra":
         unit = obj.get("unit")
         if unit is not None:
-            unit = [rat_from_str(x) for x in _json_list(unit, "unit")]
+            unit = [rat(x) for x in _json_list(unit, "unit")]
         return AlgebraSpec(basis, t3(obj["table"]), unit)
     if kind == "coalgebra":
         return CoalgebraSpec(basis, t3(obj["table"]))
@@ -487,8 +516,7 @@ def structure_from_json(obj):
         grading = _json_list(obj["grading"], "grading", ints=True)
         return SuperLieSpec(basis, grading, t3(obj["table"]))
     if kind == "colorlie":
-        theta = {(tuple(a), tuple(b)): rat_from_str(v)
-                 for a, b, v in obj["theta"]}
+        theta = {(tuple(a), tuple(b)): rat(v) for a, b, v in obj["theta"]}
         group = _json_list(obj["group"], "group", ints=True)
         grading = [tuple(_json_list(g, "each grading entry", ints=True))
                    for g in _json_list(obj["grading"], "grading")]

@@ -6,7 +6,10 @@ operator file format run on integer numerators over one common denominator.
 `tests/_dense.py` keeps the rational-arithmetic versions they replaced; here
 both run on seeded random rational structures of dimension at most 4 (with
 denominators, negatives, zero rows, symmetrised tables, with and without a
-unit) and must give the same verdicts, operators and files.
+unit), and the Jordan checks also on fixed 6-dimensional algebras, and
+must give the same verdicts, operators and files.  Structure files, which
+parse each distinct entry text once, must read every entry as
+`rat_from_str` reads it and refuse what it refuses, with its message.
 """
 import itertools
 import json
@@ -21,12 +24,13 @@ import _dense as dense
 from ybforge import constructions, registry
 from ybforge.cli import main
 from ybforge.constructions import _adjoin_unit, _formula_op, jordan_r_restricted
-from ybforge.exactla import common_den, mat_from_rows, rat_from_str
+from ybforge.exactla import common_den, mat_from_rows, rat_from_str, to_rat
 from ybforge.structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                                 SuperLieSpec, _g_vanishes_on_w,
                                 check_algebra_props, coalgebra_props, dualize,
-                                jordan_co_check, mul_vec, theorem21_instance,
-                                theorem22_instance, validate_colorlie)
+                                jordan_co_check, mul_vec, structure_from_json,
+                                theorem21_instance, theorem22_instance,
+                                validate_colorlie)
 from ybforge.ybcore import LinOp2, _braid_kills, linop2_from_json, linop2_to_json
 
 SEEDED = settings(derandomize=True, max_examples=50, deadline=None,
@@ -120,26 +124,88 @@ def _assert_both(seen, names):
 
 # ---------- algebras and coalgebras ----------
 
+def matrix_algebra(m, skew=False, edit=None):
+    """Symmetric m x m matrices under a.b = (ab + ba)/2, basis E_ij + E_ji
+    (i <= j, row-major): Jordan, not associative for m > 1.  With skew,
+    antisymmetric ones under ab - ba, basis E_ij - E_ji (i < j):
+    anticommutative, so every pair sum H is zero.  edit = (i, j, k, v) sets
+    c[i][j][k] = v."""
+    pairs = [(i, j) for i in range(m) for j in range(i + skew, m)]
+    sign = -1 if skew else 1
+
+    def mat(p):
+        x = [[0] * m for _ in range(m)]
+        x[p[0]][p[1]], x[p[1]][p[0]] = 1, sign
+        return x
+
+    def product(x, y):
+        return [[Fraction(sum(x[a][t] * y[t][b] + sign * y[a][t] * x[t][b]
+                              for t in range(m)), 1 if skew else 2)
+                 for b in range(m)] for a in range(m)]
+
+    c = [[[product(mat(p), mat(q))[a][b] for a, b in pairs] for q in pairs]
+         for p in pairs]
+    if edit:
+        i, j, k, v = edit
+        c[i][j][k] = Fraction(v)
+    return AlgebraSpec(["e%d%d" % p for p in pairs], c)
+
+
+# Beyond the strategies' dim <= 4, n = 6 each: sym(3); three single-entry
+# mutants of it (e00 e00 = 2 e00, e01 e01 without e00, and e00 e01 = e01
+# but e01 e00 = e01/2, which is not commutative); so(4), where the pair sums
+# vanish and single products do not; and Q^6, associative, so full holds.
+FIXED_ALGEBRAS = [matrix_algebra(3), matrix_algebra(3, edit=(0, 0, 0, 2)),
+                  matrix_algebra(3, edit=(1, 1, 0, 0)),
+                  matrix_algebra(3, edit=(0, 1, 1, 1)),
+                  matrix_algebra(4, skew=True),
+                  AlgebraSpec(["e%d" % i for i in range(6)],
+                              [[[int(i == j == k) for k in range(6)]
+                                for j in range(6)] for i in range(6)])]
+
+
+def algebra_verdicts(A):
+    """The verdicts of A, checked against the dense reference."""
+    comm = dense.commutative(A)
+    want = (comm, dense.associative(A), dense.unit_valid(A),
+            comm and dense.g_vanishes_on_w(A, "pattern3"))
+    assert tuple(check_algebra_props(A)) == want
+    seen = set(zip(("commutative", "associative", "unital", "jordan"), want))
+    for mode in MODES:
+        got = _g_vanishes_on_w(A, mode)
+        assert got == dense.g_vanishes_on_w(A, mode)
+        seen.add((mode, got))
+    return seen
+
+
 def test_algebra_verdicts_match_the_dense_reference():
     seen = set()
 
     @SEEDED
     @given(algebras())
     def check(A):
-        comm = dense.commutative(A)
-        want = (comm, dense.associative(A), dense.unit_valid(A),
-                comm and dense.g_vanishes_on_w(A, "pattern3"))
-        assert tuple(check_algebra_props(A)) == want
-        seen.update(zip(("commutative", "associative", "unital", "jordan"),
-                        want))
-        for mode in MODES:
-            got = _g_vanishes_on_w(A, mode)
-            assert got == dense.g_vanishes_on_w(A, mode)
-            seen.add((mode, got))
+        seen.update(algebra_verdicts(A))
 
     check()
     _assert_both(seen, ("commutative", "associative", "unital", "jordan")
                  + MODES)
+    _assert_both(set().union(*map(algebra_verdicts, FIXED_ALGEBRAS)), MODES)
+
+
+def coalgebra_verdicts(A):
+    """The verdicts of the dual coalgebra of A, checked against the dense
+    reference."""
+    C = dualize(A)
+    want = dense.coalgebra_verdicts(C, "pattern3")
+    props = coalgebra_props(C)
+    assert (props.cocommutative, props.coassociative) == want[:2]
+    seen = {("coassociative", props.coassociative)}
+    if props.cocommutative:
+        for mode in MODES:
+            got = jordan_co_check(C, mode)
+            assert got == dense.coalgebra_verdicts(C, mode)[2]
+            seen.add((mode, got))
+    return seen
 
 
 def test_coalgebra_verdicts_match_the_dense_reference():
@@ -148,19 +214,11 @@ def test_coalgebra_verdicts_match_the_dense_reference():
     @SEEDED
     @given(algebras())
     def check(A):
-        C = dualize(A)
-        want = dense.coalgebra_verdicts(C, "pattern3")
-        props = coalgebra_props(C)
-        assert (props.cocommutative, props.coassociative) == want[:2]
-        seen.add(("coassociative", props.coassociative))
-        if props.cocommutative:
-            for mode in MODES:
-                got = jordan_co_check(C, mode)
-                assert got == dense.coalgebra_verdicts(C, mode)[2]
-                seen.add((mode, got))
+        seen.update(coalgebra_verdicts(A))
 
     check()
     _assert_both(seen, ("coassociative",) + MODES)
+    _assert_both(set().union(*map(coalgebra_verdicts, FIXED_ALGEBRAS)), MODES)
 
 
 @SEEDED
@@ -256,7 +314,8 @@ ENTRIES = {" 2": 2, "+1": 1, "2/4": Fraction(1, 2), "1.5": Fraction(3, 2),
            "\u0663": 3,    # an Arabic-Indic digit, read as before
            "0": 0, "00": 0, "0/5": 0, " 0": 0, "0.0": 0,
            "\uff13": 3}    # a fullwidth digit, read as before
-BAD_ENTRIES = ["1/0", "1e3", 3, None, "1/-2", "--1", "1/", 0, "1e0"]
+BAD_ENTRIES = ["1/0", "1e3", 3, None, "1/-2", "--1", "1/", 0, "1e0",
+               ["1"], {"p": "1"}]    # unhashable values
 
 
 @pytest.mark.parametrize("text", sorted(ENTRIES))
@@ -323,6 +382,58 @@ def test_sparse_operator_files_match_the_dense_reader_and_writer(n):
         assert text == json.dumps(dense.linop2_to_json(r))
         doc = json.loads(text)
         assert linop2_from_json(doc) == dense.linop2_from_json(doc) == r
+
+
+# ---------- structure files ----------
+
+def structure_doc(cells, unit):
+    """A 3-dimensional algebra file whose 27 table cells repeat cells."""
+    flat = list(itertools.islice(itertools.cycle(cells), 27))
+    return {"kind": "algebra", "dim": 3, "basis": ["a", "b", "c"],
+            "table": [[flat[9 * i + 3 * j:9 * i + 3 * j + 3] for j in range(3)]
+                      for i in range(3)],
+            "unit": list(unit)}
+
+
+def test_structure_entries_parse_to_their_old_values():
+    texts = sorted(ENTRIES)
+    for r in range(len(texts)):
+        cells = texts[r:] + texts[:r]
+        doc = structure_doc(cells, cells[:3])
+        A = structure_from_json(doc)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            text = doc["table"][i][j][k]
+            assert A.c[i][j][k] == rat_from_str(text) == ENTRIES[text]
+        assert A.unit == [rat_from_str(t) for t in cells[:3]]
+
+
+@pytest.mark.parametrize("where", ["table", "unit"])
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+def test_bad_structure_entries_fail_as_rat_from_str_fails(capsys, tmp_path,
+                                                         entry, where):
+    with pytest.raises((TypeError, ValueError)) as old:
+        rat_from_str(entry)
+    doc = structure_doc(["1/2", "0"], ["1", "1", "1"])
+    if where == "table":
+        doc["table"][2][1][0] = entry
+    else:
+        doc["unit"][1] = entry
+    with pytest.raises(old.type) as new:
+        structure_from_json(doc)
+    assert str(new.value) == str(old.value)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code = main(["algebra-check", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: bad structure file %s: %s\n" % (path, old.value)
+
+
+def test_to_rat_keeps_a_fraction_and_refuses_a_float():
+    x = Fraction(3, 7)
+    assert to_rat(x) is x
+    with pytest.raises(TypeError, match="float"):
+        to_rat(0.5)
 
 
 # ---------- floats are refused ----------
