@@ -18,19 +18,20 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .constructions import (colored_qybe_verify, jordan_r_restricted,
+from .constructions import (COLORED_BOUND, ONEPARAM_BOUND,
+                            colored_qybe_verify, jordan_r_restricted,
                             matrix_form8, oneparam_verify, phi_super,
                             r_algebra, r_colored, r_super_colored,
                             thm32_predict, wxz_thm38)
 from .exactla import mat_inverse, rat_from_str, rat_to_str
-from .paramgrid import GridConfigError, default_grid, degree_bounds
+from .paramgrid import GridConfigError, default_grid
 from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          PreconditionError, SuperLieSpec,
                          check_algebra_props, coalgebra_props, dualize,
                          dualize_co, jordan_co_check, jordan_w_check,
                          structure_from_json, structure_to_json,
                          validate_colorlie)
-from .ybcore import (braid_qybe_equiv, braid_witness, is_yb_operator,
+from .ybcore import (braid_check, braid_qybe_equiv, braid_witness,
                      linop2_from_json, linop2_to_json, qybe_witness,
                      wxz_check)
 from . import registry
@@ -187,9 +188,9 @@ def _require_kind(obj, kind, what):
 GRID_MAX = 32
 
 
-def _grid_points(arg_value, tag, var, nonzero=False):
-    """Resolve grid size from --grid, then YBFORGE_GRID, then the bound."""
-    bound = degree_bounds(tag)[var]
+def _grid_points(arg_value, tag, bound, nonzero=False):
+    """Resolve grid size from --grid, then YBFORGE_GRID, then bound + 1; the
+    degree bound is kept beside its family in `constructions`."""
     size = None
     if arg_value is not None:
         size = arg_value
@@ -350,7 +351,7 @@ def cmd_ybe_colored(args):
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     p, q = _rat(args.p, "p"), _rat(args.q, "q")
     family = r_colored(alg, p, q)
-    grid = _grid_points(args.grid, "colored", "u")
+    grid = _grid_points(args.grid, "colored", COLORED_BOUND)
     res = colored_qybe_verify(family, grid)
     report.add("colored-qybe", res.verdict, certified=res.certified,
                witness=res.witness, notes=_cert_note(res))
@@ -361,7 +362,7 @@ def cmd_ybe_oneparam(args):
     report = Report("ybe oneparam")
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     q = _rat(args.q, "q")
-    grid = _grid_points(args.grid, "oneparam", "t1", nonzero=True)
+    grid = _grid_points(args.grid, "oneparam", ONEPARAM_BOUND, nonzero=True)
     res = oneparam_verify(alg, q, grid)
     report.add("oneparam-ybe", res.verdict, certified=res.certified,
                witness=res.witness, notes=_cert_note(res))
@@ -386,11 +387,12 @@ def cmd_ybe_phi(args):
     lie = _require_kind(load_structure(args.lie), SuperLieSpec, "--lie")
     z = _default_z(args, lie)
     alpha = _rat(args.alpha, "alpha")
+    # phi_super checks its closed-form inverse, which proves phi invertible
     pair = phi_super(lie, z, alpha)
-    yb = is_yb_operator(pair.op)
-    report.add("braid", yb.braid)
-    report.add("invertible", yb.invertible)
-    report.add("yang-baxter", yb.yb)
+    braid = braid_check(pair.op)
+    report.add("braid", braid)
+    report.add("invertible", True)
+    report.add("yang-baxter", braid)
     report.add("inverse-formula", True,
                notes="closed-form inverse composes to the identity")
     if args.output:

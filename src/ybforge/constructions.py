@@ -5,14 +5,15 @@ Every family here is produced by one bilinear template on basis columns,
 diagonal a(x)b, where ab is the product of an algebra (z its unit) or the
 bracket of a graded Lie structure (z central, the last two terms signed by
 the grading).
-Verification goes through ybcore (exact identities by slot action).  The
-one-parameter and two-color families are linear in their parameters, so
-they carry their coefficient operators and are decided for all parameter
-values at once by exact coefficient expansion (`yb_vanishes_expanded`);
-the grid only orders the search for a witness and, with the paramgrid
-degree bounds, sets the `certified` flag.  Table-driven colored families
-are decided by exhausting their color set.  Scalar parameters, tables and
-grid points go through `exactla.to_rat`, so a float is a TypeError.
+Verification goes through ybcore (exact identities by slot action).  A
+parameter family is one record, `Family`.  The one-parameter and two-color
+families are linear in their parameters, so they carry their coefficient
+operators and are decided for all parameter values at once by exact
+coefficient expansion (`yb_vanishes_expanded`); the grid only orders the
+search for a witness and, with the degree bound kept here beside each
+family, sets the `certified` flag.  Table-driven colored families are
+decided by exhausting their color set.  Scalar parameters, tables and grid
+points go through `exactla.to_rat`, so a float is a TypeError.
 """
 import functools
 import itertools
@@ -23,7 +24,7 @@ from operator import mul
 
 from .exactla import (Mat, common_den, mat_identity, mat_mul, mat_scale,
                       mat_transpose, to_rat)
-from .paramgrid import GridConfigError, GridResult, degree_bounds
+from .paramgrid import GridConfigError, GridResult
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
 from .ybcore import (LinOp2, _braid_kills, braid_check, compose, twist,
@@ -34,24 +35,35 @@ class NotYangBaxterError(ValueError):
     """Parameters fall outside the cases that give a Yang-Baxter operator."""
 
 
-# evaluator: (u, v) -> LinOp2.  color_set: the finite color set, when the
-# family has one.  coefficients: (U, V) over one denominator with
-# R(u,v) = u U + v V, when the family is linear in its colors (and has no
-# color set).
-ColoredFamily = namedtuple(
-    "ColoredFamily", "tag n params evaluator color_set coefficients",
-    defaults=(None, None))
+class Family(namedtuple("Family", "tag n params evaluator color_set coefficients",
+                        defaults=(None, None))):
+    """A parameter family: evaluator(*point) -> LinOp2, also as fam(*point).
 
-
-class OneParamFamily(namedtuple("OneParamFamily", "n q coefficients")):
-    """coefficients: (P, Q) over one denominator, S(t) = t P + Q."""
+    color_set: the finite color set, when the family has one.
+    coefficients: the operators over one denominator of which the family is
+    a linear combination, when it is linear in its parameters: (U, V) with
+    R(u,v) = u U + v V, or (P, Q) with S(t) = t P + Q.
+    """
     __slots__ = ()
 
-    def __call__(self, t):
-        t = to_rat(t)
-        if t == 0:
-            raise ValueError("t must be nonzero")
-        return _combine(self.coefficients, (t, 1))
+    def __call__(self, *point):
+        return self.evaluator(*point)
+
+
+# Per-variable degree bounds of the linear families' identities; bound + 1
+# distinct grid points per variable certify.
+#  - colored: R(u,v) entries are linear in u, v, p, q; triple products give
+#    degree <= 3 per variable (u and p actually appear in at most two and
+#    three factors; 3 is a safe common bound).
+#  - oneparam: S(ti/tj) entries are linear in ti/tj and in q.  Clearing the
+#    denominators t2*t3^2 from the triple products leaves polynomials of
+#    degree <= 2 per ti per factor, <= 6 per side; q appears in three
+#    factors, degree <= 3 <= 6.
+# The verdicts come from exact coefficient expansion; the bounds only decide
+# the `certified` flag, the CLI's default grid size and its refusal of
+# undersized grids.
+COLORED_BOUND = 3
+ONEPARAM_BOUND = 6
 
 
 PhiPair = namedtuple("PhiPair", "op inverse")
@@ -114,13 +126,27 @@ def _combine(ops, coeffs):
     return LinOp2(op.n, Mat(op.mat.rows, op.mat.cols, num, scale * op.mat.den))
 
 
-def _grid_witness(names, grid, factors):
-    """The first point of grid^3 in product order where [R,S,T] != 0 for
-    (R, S, T) = factors(*point), as a dict over names; None if there is none."""
-    for point in itertools.product(grid, repeat=3):
-        if not yb_vanishes(*factors(*point)):
-            return dict(zip(names, point))
-    return None
+def _grid_decide(description, names, grid, bound, certified, pencils, factors):
+    """GridResult of [R,S,T] = 0 over the three variables `names`.
+
+    pencils: R, S and T as lists of (monomial, operator) pieces over one
+    denominator each, or None.  With pencils the verdict comes from exact
+    expansion (`yb_vanishes_expanded`).  Without them, or on a FAIL, the
+    witness is the first point of grid^3 in product order where
+    (R, S, T) = factors(*point) fails, as a dict over names; with no
+    pencils the verdict is that no grid point fails.
+    """
+    verdict = None if pencils is None else yb_vanishes_expanded(*pencils)
+    witness = None
+    if not verdict:
+        for point in itertools.product(grid, repeat=3):
+            if not yb_vanishes(*factors(*point)):
+                witness = dict(zip(names, point))
+                break
+    if verdict is None:
+        verdict = witness is None
+    cert = {name: (len(grid), bound) for name in names}
+    return GridResult(description, verdict, certified and verdict, witness, cert)
 
 
 def r_algebra(A, alpha, beta, gamma):
@@ -211,8 +237,8 @@ def r_colored(A, p, q):
     def evaluate(u, v):
         return _combine(coefficients, (u, v))
 
-    return ColoredFamily("colored", A.n, {"p": p, "q": q}, evaluate,
-                         coefficients=coefficients)
+    return Family("colored", A.n, {"p": p, "q": q}, evaluate,
+                  coefficients=coefficients)
 
 
 def colored_qybe_verify(F, grid):
@@ -220,11 +246,9 @@ def colored_qybe_verify(F, grid):
 
     A family that carries its coefficients (R(u,v) = u U + v V, tag
     "colored") is decided for all colors at once by exact expansion in the
-    monomials of (u, v, w).  The grid then only orders the witness search
-    and sets `certified`: at least 4 distinct points (degree <= 3 per
-    variable) certify.  On a FAIL the witness is the first failing point of
-    grid^3; when no grid point fails (a grid too small to certify) the
-    verdict is still FAIL, with no witness.
+    monomials of (u, v, w); COLORED_BOUND + 1 distinct points certify.  On
+    a FAIL the witness is the first failing point of grid^3, or none when no
+    grid point fails (a grid too small to certify).
 
     Any other family is evaluated at every point of grid^3.  For
     table-driven families the grid must lie inside the declared color set,
@@ -240,25 +264,19 @@ def colored_qybe_verify(F, grid):
         bound = len(F.color_set) - 1
         certified = set(grid) == set(F.color_set)
     else:
-        bound = degree_bounds("colored")["u"]
+        bound = COLORED_BOUND
         certified = len(grid) >= bound + 1
-    exact = None
+    pencils = None
     if F.coefficients is not None:
         u, v = F.coefficients
         # monomials are exponents of (u, v, w)
-        exact = yb_vanishes_expanded(
-            (((1, 0, 0), u), ((0, 1, 0), v)),     # R12(u, v)
-            (((1, 0, 0), u), ((0, 0, 1), v)),     # R13(u, w)
-            (((0, 1, 0), u), ((0, 0, 1), v)))     # R23(v, w)
-    witness = None
-    if not exact:
-        op = functools.cache(F.evaluator)
-        witness = _grid_witness(("u", "v", "w"), grid,
-                                lambda u, v, w: (op(u, v), op(u, w), op(v, w)))
-    verdict = witness is None if exact is None else exact
-    cert = {name: (len(grid), bound) for name in ("u", "v", "w")}
-    return GridResult("colored QYBE for %s family" % F.tag,
-                      verdict, certified and verdict, witness, cert)
+        pencils = ((((1, 0, 0), u), ((0, 1, 0), v)),     # R12(u, v)
+                   (((1, 0, 0), u), ((0, 0, 1), v)),     # R13(u, w)
+                   (((0, 1, 0), u), ((0, 0, 1), v)))     # R23(v, w)
+    op = functools.cache(F.evaluator)
+    return _grid_decide("colored QYBE for %s family" % F.tag, ("u", "v", "w"),
+                        grid, bound, certified, pencils,
+                        lambda u, v, w: (op(u, v), op(u, w), op(v, w)))
 
 
 def s_oneparam(A, q):
@@ -271,8 +289,17 @@ def s_oneparam(A, q):
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
     q = to_rat(q)
-    return OneParamFamily(A.n, q, _common_den((_formula_op(A, unit, q, 1, 1, 0),
-                                               _formula_op(A, unit, -q, -1, -q, 0))))
+    coefficients = _common_den((_formula_op(A, unit, q, 1, 1, 0),
+                                _formula_op(A, unit, -q, -1, -q, 0)))
+
+    def evaluate(t):
+        t = to_rat(t)
+        if t == 0:
+            raise ValueError("t must be nonzero")
+        return _combine(coefficients, (t, 1))
+
+    return Family("oneparam", A.n, {"q": q}, evaluate,
+                  coefficients=coefficients)
 
 
 def oneparam_verify(A, q, tgrid):
@@ -282,12 +309,10 @@ def oneparam_verify(A, q, tgrid):
     differences become ratios), so the grid must avoid 0.  The verdict comes
     from exact expansion: with x = t1/t2 and y = t2/t3, S12 = x P + Q,
     S13 = xy P + Q and S23 = y P + Q, and the identity holds for all nonzero
-    t iff every coefficient of the monomials x^a y^b vanishes.  The grid
-    only orders the witness search and sets `certified`: after clearing the
-    t denominators both sides have degree <= 6 per t variable, so 7 distinct
-    nonzero points certify.  On a FAIL the witness is the first failing
-    point of the grid^3; when no grid point fails (a grid too small to
-    certify) the verdict is still FAIL, with no witness.
+    t iff every coefficient of the monomials x^a y^b vanishes;
+    ONEPARAM_BOUND + 1 distinct nonzero points certify.  On a FAIL the
+    witness is the first failing point of tgrid^3, or none when no grid
+    point fails (a grid too small to certify).
     """
     fam = s_oneparam(A, q)
     tgrid = [to_rat(t) for t in tgrid]
@@ -295,23 +320,17 @@ def oneparam_verify(A, q, tgrid):
         raise GridConfigError("t-grid points must be distinct")
     if any(t == 0 for t in tgrid):
         raise GridConfigError("t-grid points must be nonzero")
-    bound = degree_bounds("oneparam")["t1"]
-    certified = len(tgrid) >= bound + 1
     p_op, q_op = fam.coefficients
     # monomials are exponents of (x, y)
-    verdict = yb_vanishes_expanded(
-        (((1, 0), p_op), ((0, 0), q_op)),         # S12(x)
-        (((1, 1), p_op), ((0, 0), q_op)),         # S13(xy)
-        (((0, 1), p_op), ((0, 0), q_op)))         # S23(y)
-    witness = None
-    if not verdict:
-        op = functools.cache(fam)
-        witness = _grid_witness(
-            ("t1", "t2", "t3"), tgrid,
-            lambda t1, t2, t3: (op(t1 / t2), op(t1 / t3), op(t2 / t3)))
-    cert = {name: (len(tgrid), bound) for name in ("t1", "t2", "t3")}
-    return GridResult("one-parameter YBE at q=%s" % q,
-                      verdict, certified and verdict, witness, cert)
+    pencils = ((((1, 0), p_op), ((0, 0), q_op)),        # S12(x)
+               (((1, 1), p_op), ((0, 0), q_op)),        # S13(xy)
+               (((0, 1), p_op), ((0, 0), q_op)))        # S23(y)
+    op = functools.cache(fam.evaluator)
+    return _grid_decide("one-parameter YBE at q=%s" % q, ("t1", "t2", "t3"),
+                        tgrid, ONEPARAM_BOUND,
+                        len(tgrid) >= ONEPARAM_BOUND + 1, pencils,
+                        lambda t1, t2, t3: (op(t1 / t2), op(t1 / t3),
+                                            op(t2 / t3)))
 
 
 def wxz_thm38(A, lam, mu):
@@ -335,8 +354,9 @@ def wxz_from_colored(F, s, t):
 
 def phi_super(L, z, alpha):
     """phi(x(x)y) = alpha [x,y](x)z + (-1)^{|x||y|} y(x)x, with its formula
-    inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x; their product is the
-    identity (asserted)."""
+    inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x.  Their product is checked
+    to be the identity; for square matrices that makes the formula a
+    two-sided inverse, so a returned pair proves phi invertible."""
     rep = center_contains(L, z)
     if not rep:
         raise PreconditionError(
@@ -347,8 +367,8 @@ def phi_super(L, z, alpha):
     # the template subtracts its swap term, so c_swap = -1 adds y(x)x
     op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
     inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)
-    assert mat_mul(op.mat, inv.mat) == mat_identity(L.n ** 2), \
-        "formula inverse failed"
+    if mat_mul(op.mat, inv.mat) != mat_identity(L.n ** 2):
+        raise RuntimeError("formula inverse failed")
     return PhiPair(op, inv)
 
 
@@ -376,8 +396,8 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
         # KeyError on colors outside the tables
         return _formula_op(L, z, atab[u], 0, 0, -btab[u], L.grading)
 
-    return ColoredFamily("superColored", L.n,
-                         {"alpha": atab, "beta": btab}, evaluate, colors)
+    return Family("superColored", L.n, {"alpha": atab, "beta": btab},
+                  evaluate, colors)
 
 
 def _adjoin_unit(J):

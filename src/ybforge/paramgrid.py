@@ -1,12 +1,11 @@
-"""Rational grids and per-variable degree bounds for the parameter families.
+"""Rational grids and grid results for the parameter families.
 
 A polynomial of degree < g in each variable that vanishes on a tensor grid
-of g distinct points per variable is zero.  The `colored` and `oneparam`
-verdicts come from exact coefficient expansion in `constructions`; the
-bounds here decide their `certified` flag, size the default grid that
-orders a FAIL's witness search and set the CLI's refusal of undersized
-grids.  No verdict comes from `grid_verify` (exhaustive evaluation of an
-`IdentityJob`) any more; only the tests call it.
+of g distinct points per variable is zero.  The degree bound of each family
+lives beside it in `constructions`, whose verifiers decide by exact
+coefficient expansion and build the `GridResult`.  No verdict comes from
+`grid_verify` (exhaustive evaluation of an `IdentityJob`) any more; only
+the tests call it.
 """
 import itertools
 from collections import namedtuple
@@ -59,35 +58,3 @@ def grid_verify(job):
             return GridResult(job.description, False, False, assign, certificate)
     return GridResult(job.description, True, True, None, certificate)
 
-
-# Conservative per-variable degree bounds, re-derived here:
-#  - rA-braid: R^A entries are linear in each of alpha, beta, gamma; each
-#    side of the braid equation is a product of three lifts, so degree <= 3.
-#  - colored: R(u,v) entries are linear in u, v, p, q; triple products give
-#    degree <= 3 per variable (u and p actually appear in at most two and
-#    three factors; 3 is a safe common bound).
-#  - oneparam: S(ti/tj) entries are linear in ti/tj and in q.  Clearing the
-#    denominators t2*t3^2 from the triple products leaves polynomials of
-#    degree <= 2 per ti per factor, <= 6 per side; q appears in three
-#    factors, degree <= 3 <= 6.
-# The colored and oneparam verdicts come from exact coefficient expansion in
-# constructions, not from the grid; their bounds here only decide the
-# `certified` flag and the CLI's refusal of undersized grids.
-#  - wxz38: W, X, Z entries are linear in lambda resp. mu; the commutator
-#    conditions are triple products, degree <= 3.
-# The Jordan identity needs no grid: structures decides it exactly by
-# polarisation on basis multisets.
-_BOUNDS = {
-    "rA-braid": {"alpha": 3, "beta": 3, "gamma": 3},
-    "colored": {"u": 3, "v": 3, "w": 3, "p": 3, "q": 3},
-    "oneparam": {"t1": 6, "t2": 6, "t3": 6, "q": 6},
-    "wxz38": {"lambda": 3, "mu": 3},
-}
-
-
-def degree_bounds(tag):
-    """Bound table for a known construction tag."""
-    try:
-        return dict(_BOUNDS[tag])
-    except KeyError:
-        raise ValueError("unknown construction tag %r" % (tag,)) from None

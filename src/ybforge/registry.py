@@ -1,7 +1,7 @@
 """Named example structures for the CLI, the library and the tests."""
 from fractions import Fraction
 
-from .exactla import rat_from_str
+from .exactla import rat_from_str, to_rat
 from .structures import (AlgebraSpec, SuperLieSpec, theorem21_instance,
                          theorem22_instance)
 
@@ -15,7 +15,7 @@ def build_dual2():
 
 def build_split2(m=1):
     """Q[X]/(X^2 - m): basis (1, x), x^2 = m."""
-    m = Fraction(m)
+    m = to_rat(m)
     c = [[[1, 0], [0, 1]],
          [[0, 1], [m, 0]]]
     return AlgebraSpec(["1", "x"], c, unit=[1, 0])
@@ -114,7 +114,7 @@ def build(name, *args):
     if len(args) > len(params):
         raise ValueError("%s takes at most %d parameters" % (name, len(params)))
     try:
-        values = [rat_from_str(a) if isinstance(a, str) else Fraction(a)
+        values = [rat_from_str(a) if isinstance(a, str) else to_rat(a)
                   for a in args]
     except ZeroDivisionError:
         raise ValueError("zero denominator in %s%r" % (name, args)) from None

@@ -146,10 +146,14 @@ class ColorLieSpec:
         if any(m < 1 for m in self.moduli):
             raise ValueError("group moduli must be at least 1, got %r"
                              % (self.moduli,))
+        grading = [tuple(g) for g in grading]
+        if len(grading) != self.n:
+            raise ValueError("grading dim mismatch")
+        if any(len(g) != len(self.moduli) for g in grading):
+            raise ValueError("each grading entry needs %d components, one per "
+                             "group modulus" % len(self.moduli))
         self.grading = [tuple(int(x) % m for x, m in zip(g, self.moduli))
                         for g in grading]
-        if len(self.grading) != self.n:
-            raise ValueError("grading dim mismatch")
         self.theta = {(tuple(a), tuple(b2)): to_rat(v)
                       for (a, b2), v in theta.items()}
         # theta must cover G x G: count before listing G, whose order is

@@ -105,6 +105,10 @@ def test_check_bad_file(capsys, tmp_path):
 
 # ---------- malformed input: exit 2 with one line on stderr ----------
 
+# the group Z2 x Z3, with theta = 1 on all of it
+Z2Z3 = [[a, b] for a in range(2) for b in range(3)]
+THETA_Z2Z3 = [[g, h, "1"] for g in Z2Z3 for h in Z2Z3]
+
 MALFORMED_FILES = {
     "table-not-a-list": {"kind": "algebra", "dim": 2, "basis": ["a", "b"],
                          "table": 5},
@@ -142,6 +146,17 @@ MALFORMED_FILES = {
                                 "theta": [[[0], [0], "1"], [[0], [1], "1"],
                                           [[1], [0], "1"], [[1], [1], "1"]],
                                 "table": [[["0", "0"]] * 2] * 2},
+    # grading entries with fewer or more components than the group has
+    # moduli: neither may be caught late or silently truncated
+    "colorlie-grading-short": {"kind": "colorlie", "dim": 2,
+                               "basis": ["a", "b"], "group": [2, 3],
+                               "grading": [[1], [0, 0]], "theta": THETA_Z2Z3,
+                               "table": [[["0", "0"]] * 2] * 2},
+    "colorlie-grading-long": {"kind": "colorlie", "dim": 2,
+                              "basis": ["a", "b"], "group": [2, 3],
+                              "grading": [[1, 0, 5], [0, 0]],
+                              "theta": THETA_Z2Z3,
+                              "table": [[["0", "0"]] * 2] * 2},
 }
 
 MALFORMED_ARGV = {

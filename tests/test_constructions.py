@@ -268,6 +268,15 @@ def test_phi_super_yang_baxter(alpha):
         assert compose(pair.inverse, pair.op) == identity2(lie.n)
 
 
+def test_phi_super_checks_its_inverse(monkeypatch):
+    # the check must raise even under `python -O`, so it is no assert
+    from ybforge import constructions
+    monkeypatch.setattr(constructions, "mat_identity",
+                        lambda n: mat_scale(mat_identity(n), 2))
+    with pytest.raises(RuntimeError, match="formula inverse failed"):
+        phi_super(HEIS3, Z_HEIS, 1)
+
+
 def test_phi_super_rejects_non_central():
     with pytest.raises(PreconditionError):
         phi_super(HEIS3, [1, 0, 0], 1)
@@ -364,10 +373,12 @@ def test_jordan_r_restricted_rejects_non_jordan():
     lambda: r_super_colored(HEIS3, Z_HEIS, {0: 0.5}, {0: 1}, (0,)),
     lambda: oneparam_verify(DUAL2, 2, [1, 2, 0.5]),
     lambda: colored_qybe_verify(r_colored(DUAL2, 2, 3), [0, 1, 0.5]),
+    lambda: registry.build("split2", 0.1),
+    lambda: registry.build("t21", 0.5, 1),
 ], ids=["r_algebra", "thm32_predict", "thm32_inverse", "matrix_form8",
         "r_colored", "s_oneparam", "oneparam_family", "wxz_thm38",
         "wxz_from_colored", "phi_super", "r_super_colored", "oneparam_grid",
-        "colored_grid"])
+        "colored_grid", "registry_split2", "registry_t21"])
 def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="float"):
         build()

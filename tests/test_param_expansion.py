@@ -16,13 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybforge import constructions
-from ybforge.constructions import (_formula_op, colored_qybe_verify,
-                                   oneparam_verify, r_colored, s_oneparam)
-from ybforge.exactla import Mat
-from ybforge.paramgrid import default_grid
+from ybforge.constructions import (Family, _formula_op, colored_qybe_verify,
+                                   oneparam_verify, r_colored,
+                                   r_super_colored, s_oneparam)
+from _dense import mat_add
+from ybforge.exactla import Mat, mat_scale
+from ybforge.paramgrid import GridResult, default_grid
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
-from ybforge.ybcore import LinOp2, yb_vanishes, yb_vanishes_expanded
+from ybforge.ybcore import LinOp2, twist, yb_vanishes, yb_vanishes_expanded
 
 TGRID = default_grid(7, nonzero=True)
 CGRID = default_grid(4)
@@ -30,6 +32,14 @@ SCALARS = [Fraction(x) for x in (-1, 1, 2, -2, 3)] + [Fraction(1, 2),
                                                       Fraction(-3, 2)]
 SEEDED = settings(derandomize=True, max_examples=25, deadline=None,
                   database=None)
+T_NAMES, C_NAMES = ("t1", "t2", "t3"), ("u", "v", "w")
+
+
+def result(description, names, verdict, certified, witness, size, bound):
+    """The GridResult a verifier must return, with every variable of names
+    on a grid of `size` points under degree bound `bound`."""
+    return GridResult(description, verdict, certified, witness,
+                      {name: (size, bound) for name in names})
 
 
 def grid_oneparam(A, q, tgrid):
@@ -140,8 +150,8 @@ def test_oneparam_matches_the_grid():
     def check(A, q):
         res = oneparam_verify(A, q, TGRID)
         verdict, witness = grid_oneparam(A, q, TGRID)
-        assert (res.verdict, res.certified, res.witness) == (verdict, verdict,
-                                                             witness)
+        assert res == result("one-parameter YBE at q=%s" % q, T_NAMES,
+                             verdict, verdict, witness, 7, 6)
         seen.add(verdict)
 
     check()
@@ -157,8 +167,8 @@ def test_colored_matches_the_grid():
     def check(A, p, q):
         res = colored_qybe_verify(r_colored(A, p, q), CGRID)
         verdict, witness = grid_colored(A, p, q, CGRID)
-        assert (res.verdict, res.certified, res.witness) == (verdict, verdict,
-                                                             witness)
+        assert res == result("colored QYBE for colored family", C_NAMES,
+                             verdict, verdict, witness, 4, 3)
         seen.add(verdict)
 
     check()
@@ -241,10 +251,59 @@ def test_undersized_grid_fails_without_witness():
     sym = build("sym2jordan")
     res = oneparam_verify(sym, 1, [1])
     assert grid_oneparam(sym, 1, [1]) == (True, None)
-    assert (res.verdict, res.certified, res.witness) == (False, False, None)
+    assert res == result("one-parameter YBE at q=1", T_NAMES,
+                         False, False, None, 1, 6)
     res = colored_qybe_verify(r_colored(sym, 2, 3), [0])
     assert grid_colored(sym, 2, 3, [0]) == (True, None)
-    assert (res.verdict, res.certified, res.witness) == (False, False, None)
+    assert res == result("colored QYBE for colored family", C_NAMES,
+                         False, False, None, 1, 3)
+
+
+def test_undersized_grid_passes_uncertified():
+    mat2 = build("mat2")
+    assert oneparam_verify(mat2, 2, default_grid(6, nonzero=True)) == result(
+        "one-parameter YBE at q=2", T_NAMES, True, False, None, 6, 6)
+    assert colored_qybe_verify(r_colored(mat2, 2, 3), default_grid(3)) == result(
+        "colored QYBE for colored family", C_NAMES, True, False, None, 3, 3)
+
+
+def test_color_set_subset_is_not_certified():
+    # on gl11 these tables fail only at points that use color 2
+    fam = r_super_colored(build("gl11"), [1, 1, 0, 0], {0: 1, 1: 2, 2: 3},
+                          {0: 1, 1: 2, 2: 4}, (0, 1, 2))
+    assert colored_qybe_verify(fam, [0, 1]) == result(
+        "colored QYBE for superColored family", C_NAMES,
+        True, False, None, 2, 2)
+    assert colored_qybe_verify(fam, [0, 1, 2]) == result(
+        "colored QYBE for superColored family", C_NAMES,
+        False, False, {"u": 0, "v": 2, "w": 0}, 3, 2)
+
+
+def test_family_without_coefficients_is_decided_on_the_grid():
+    # criterion 4's corruption: the sign of the swap term flipped, given as
+    # a bare evaluator, so no expansion is possible
+    p, q = Fraction(2), Fraction(3)
+    base = r_colored(build("dual2"), p, q)
+
+    def corrupted(u, v):
+        bump = mat_scale(twist(2).mat, 2 * (p * u - q * v))
+        return LinOp2(2, mat_add(base(u, v).mat, bump))
+
+    fam = Family("colored", 2, base.params, corrupted)
+    assert colored_qybe_verify(fam, CGRID) == result(
+        "colored QYBE for colored family", C_NAMES,
+        False, False, {"u": 0, "v": 1, "w": 2}, 4, 3)
+
+
+def test_builders_return_families():
+    A, L = build("sym2jordan"), build("gl11")
+    cases = [(r_colored(A, 2, 3), (Fraction(1, 2), Fraction(-1))),
+             (s_oneparam(A, 2), (Fraction(3, 4),)),
+             (r_super_colored(L, [1, 1, 0, 0], {0: 1, 1: 2}, {0: 1, 1: 2},
+                              (0, 1)), (Fraction(1), Fraction(0)))]
+    for fam, point in cases:
+        assert type(fam) is Family
+        assert fam(*point) == fam.evaluator(*point)
 
 
 def test_pieces_of_a_factor_must_share_a_denominator():

@@ -5,7 +5,7 @@ import pytest
 
 from ybforge.exactla import mat_from_rows
 from ybforge.paramgrid import (GridConfigError, IdentityJob, default_grid,
-                               degree_bounds, grid_verify)
+                               grid_verify)
 
 
 def test_default_grid():
@@ -13,21 +13,6 @@ def test_default_grid():
     assert default_grid(4, nonzero=True) == [1, 2, 3, 4]
     assert default_grid(1) == [0]
     assert all(isinstance(x, Fraction) for x in default_grid(3))
-
-
-def test_degree_bounds_known_tags():
-    assert degree_bounds("rA-braid") == {"alpha": 3, "beta": 3, "gamma": 3}
-    assert degree_bounds("colored")["u"] == 3
-    assert degree_bounds("oneparam")["t1"] == 6
-    assert degree_bounds("wxz38") == {"lambda": 3, "mu": 3}
-    # callers get a copy, not the table itself
-    degree_bounds("wxz38")["lambda"] = 99
-    assert degree_bounds("wxz38")["lambda"] == 3
-
-
-def test_degree_bounds_unknown_tag():
-    with pytest.raises(ValueError):
-        degree_bounds("pentagon")
 
 
 def _const_job(grids, bound=1):

@@ -6,17 +6,16 @@ attribute can be attached to a result after it is returned.
 """
 import pytest
 
-from ybforge.constructions import (ColoredFamily, Form8Result, OneParamFamily,
-                                   PhiPair, RestrictedReport)
+from ybforge.constructions import (Family, Form8Result, PhiPair,
+                                   RestrictedReport)
 from ybforge.paramgrid import GridResult, IdentityJob
 from ybforge.structures import (CenterReport, ColorLieReport, CoPropReport,
                                 PropReport, Thm21Verdict, WSubspace)
 from ybforge.ybcore import WxzReport, YbReport
 
 RECORDS = [PropReport, CoPropReport, Thm21Verdict, CenterReport,
-           ColorLieReport, WSubspace, YbReport, WxzReport, ColoredFamily,
-           OneParamFamily, PhiPair, Form8Result, RestrictedReport,
-           IdentityJob, GridResult]
+           ColorLieReport, WSubspace, YbReport, WxzReport, Family, PhiPair,
+           Form8Result, RestrictedReport, IdentityJob, GridResult]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)

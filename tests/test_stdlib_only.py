@@ -7,6 +7,8 @@ the CLI's start-up light: every `ybforge` command is a fresh process, so
 each module that `import ybforge.cli` pulls in is paid for on every call,
 and so would be an argument parser built at import (the first `main` call
 builds it; a process that only imports the module never needs it).
+A third test rejects any `assert` statement in the package, because
+`python -O` removes it and with it the check.
 """
 import ast
 import os
@@ -26,6 +28,14 @@ def imported_roots(tree):
                 yield node.lineno, alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_has_no_assert_statement():
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_package_imports_only_the_standard_library():
