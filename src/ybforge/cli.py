@@ -9,12 +9,16 @@ preconditions, undersized or oversized grids, unwritable output paths), and
 Informational values that should not flip the exit status are carried in
 notes, not verdicts.  `main(argv)` may be called repeatedly in one process:
 it builds its parser once, on the first call, and looks up each command's
-handler by name at call time.
+handler by its command path at call time: `cmd_<command>`, or
+`cmd_ybe_<command>` under `ybe`, with `-` read as `_`.  A handler that
+returns no report (`examples list`, whose listing is its output) prints
+nothing more and exits 0.
 """
 import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -41,13 +45,7 @@ class CliInputError(Exception):
     """Bad command-line input; maps to exit status 2."""
 
 
-class Check:
-    def __init__(self, name, verdict, certified=None, witness=None, notes=""):
-        self.name = name
-        self.verdict = verdict
-        self.certified = certified
-        self.witness = witness
-        self.notes = notes
+Check = namedtuple("Check", "name verdict certified witness notes")
 
 
 class Report:
@@ -61,6 +59,12 @@ class Report:
 
     def add(self, name, verdict, certified=None, witness=None, notes=""):
         self.checks.append(Check(name, bool(verdict), certified, witness, notes))
+
+    def add_grid(self, name, res):
+        """A grid verdict, noting each variable's points and degree bound."""
+        notes = "; ".join("%s: %d points, degree bound %d" % (var, got, bound)
+                          for var, (got, bound) in sorted(res.certificate.items()))
+        self.add(name, res.verdict, res.certified, res.witness, notes)
 
     def note(self, text):
         self.notes.append(text)
@@ -117,16 +121,10 @@ def emit_report(report, as_json, stream=None):
         stream.write("  note: %s\n" % text)
 
 
-def _cert_note(res):
-    parts = ["%s: %d points, degree bound %d" % (name, got, bound)
-             for name, (got, bound) in sorted(res.certificate.items())]
-    return "; ".join(parts)
-
-
 def _rat(text, what):
     try:
         return rat_from_str(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliInputError("bad %s value %r: %s" % (what, text, exc))
 
 
@@ -140,7 +138,7 @@ def _load_json(path):
         raise CliInputError("cannot read %s: %s" % (path, exc))
     except UnicodeDecodeError as exc:
         raise CliInputError("%s is not ASCII text: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError("invalid JSON in %s: %s" % (path, exc))
 
 
@@ -160,8 +158,7 @@ def _write_json(doc, path, report=None):
 
 def load_structure(source):
     """A registry name (with optional inline args) or a JSON file path."""
-    if source in registry.names() or (
-            "(" in source and source.split("(", 1)[0] in registry.names()):
+    if source.split("(", 1)[0] in registry.REGISTRY:
         try:
             return registry.build(source)
         except (KeyError, ValueError) as exc:
@@ -207,10 +204,14 @@ def _grid_points(arg_value, tag, bound, nonzero=False):
         raise CliInputError(
             "grid size %d is below the certification bound %d for %s"
             % (size, bound + 1, tag))
+    _check_grid_max(size)
+    return default_grid(size, nonzero=nonzero)
+
+
+def _check_grid_max(size):
     if size > GRID_MAX:
         raise CliInputError("grid size %d is above the limit %d"
                             % (size, GRID_MAX))
-    return default_grid(size, nonzero=nonzero)
 
 
 # --- algebra-check -------------------------------------------------------
@@ -250,20 +251,15 @@ def cmd_algebra_check(args):
             report.add("jordan-co[%s]" % args.jordan_mode, ok)
         else:
             report.note("jordan-co skipped: coproduct is not cocommutative")
-    elif isinstance(obj, SuperLieSpec):
+    elif isinstance(obj, (SuperLieSpec, ColorLieSpec)):
         rep = validate_colorlie(obj)
-        props = {"antisymmetric": rep.antisym, "jacobi": rep.jacobi}
-        report.note("kind=superlie dim=%d" % obj.n)
-        report.add("antisymmetric", rep.antisym)
-        report.add("jacobi", rep.jacobi)
-    elif isinstance(obj, ColorLieSpec):
-        rep = validate_colorlie(obj)
-        props = {"bicharacter": rep.bicharacter,
-                 "antisymmetric": rep.antisym, "jacobi": rep.jacobi}
-        report.note("kind=colorlie dim=%d" % obj.n)
-        report.add("bicharacter", rep.bicharacter)
-        report.add("antisymmetric", rep.antisym)
-        report.add("jacobi", rep.jacobi)
+        color = isinstance(obj, ColorLieSpec)
+        props = {"bicharacter": rep.bicharacter} if color else {}
+        props.update(antisymmetric=rep.antisym, jacobi=rep.jacobi)
+        report.note("kind=%s dim=%d" % ("colorlie" if color else "superlie",
+                                          obj.n))
+        for name, value in props.items():
+            report.add(name, value)
     else:
         raise CliInputError("unsupported structure kind")
     if args.expect:
@@ -280,23 +276,33 @@ def cmd_algebra_check(args):
 # --- examples ------------------------------------------------------------
 
 def cmd_examples(args):
-    report = Report("examples %s" % args.action)
     if args.action == "list":
         if args.json:
             _write_json({"names": registry.names()}, None)
         else:
             for name in registry.names():
                 sys.stdout.write(name + "\n")
-        return report
-    # emit
+        return None
+    report = Report("examples emit")
     if args.name is None:
         raise CliInputError("examples emit requires a name")
-    extras = []
-    for flag in ("m", "s", "t", "beta"):
-        value = getattr(args, flag)
-        if value is not None:
-            extras.append(rat_to_str(_rat(value, flag)))
-    source = args.name if not extras else "%s(%s)" % (args.name, ",".join(extras))
+    given = [flag for flag in ("m", "s", "t", "beta")
+             if getattr(args, flag) is not None]
+    params = registry.REGISTRY.get(args.name, (None, ()))[1]
+    for flag in given:
+        if flag not in params:
+            raise CliInputError("--%s is not a parameter of %s"
+                                % (flag, args.name))
+    # parameters are positional: each one given needs all before it
+    used = params[:len(given)]
+    for param in used:
+        if param not in given:
+            raise CliInputError("--%s is given without --%s"
+                                % (given[-1], param))
+    source = args.name
+    if used:
+        source += "(%s)" % ",".join(rat_to_str(_rat(getattr(args, p), p))
+                                    for p in used)
     obj = load_structure(source)
     _write_json(structure_to_json(obj), args.output, report)
     report.add("emit:%s" % source, True)
@@ -306,9 +312,8 @@ def cmd_examples(args):
 # --- ybe build / verify --------------------------------------------------
 
 def _load_operator(path):
-    doc = _load_json(path)
     try:
-        return linop2_from_json(doc)
+        return linop2_from_json(_load_json(path))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError("bad operator JSON: %s" % exc)
 
@@ -352,9 +357,7 @@ def cmd_ybe_colored(args):
     p, q = _rat(args.p, "p"), _rat(args.q, "q")
     family = r_colored(alg, p, q)
     grid = _grid_points(args.grid, "colored", COLORED_BOUND)
-    res = colored_qybe_verify(family, grid)
-    report.add("colored-qybe", res.verdict, certified=res.certified,
-               witness=res.witness, notes=_cert_note(res))
+    report.add_grid("colored-qybe", colored_qybe_verify(family, grid))
     return report
 
 
@@ -363,9 +366,7 @@ def cmd_ybe_oneparam(args):
     alg = _require_kind(load_structure(args.algebra), AlgebraSpec, "--algebra")
     q = _rat(args.q, "q")
     grid = _grid_points(args.grid, "oneparam", ONEPARAM_BOUND, nonzero=True)
-    res = oneparam_verify(alg, q, grid)
-    report.add("oneparam-ybe", res.verdict, certified=res.certified,
-               witness=res.witness, notes=_cert_note(res))
+    report.add_grid("oneparam-ybe", oneparam_verify(alg, q, grid))
     return report
 
 
@@ -418,8 +419,11 @@ def _parse_table(text, what):
     try:
         for piece in text.split(","):
             key, value = piece.split("=", 1)
-            table[rat_from_str(key)] = rat_from_str(value)
-    except (ValueError, ZeroDivisionError) as exc:
+            key = rat_from_str(key)
+            if key in table:
+                raise ValueError("repeated key %s" % rat_to_str(key))
+            table[key] = rat_from_str(value)
+    except ValueError as exc:
         raise CliInputError("bad %s %r: %s" % (what, text, exc))
     if not table:
         raise CliInputError("%s is empty" % what)
@@ -436,15 +440,13 @@ def cmd_ybe_super_colored(args):
         colors = [_rat(part, "color") for part in args.colors.split(",")]
     else:
         colors = sorted(alpha_table)
+    # the colour set is the grid, walked in full by a PASS
+    _check_grid_max(len(colors))
     try:
         family = r_super_colored(lie, z, alpha_table, beta_table, colors)
-        res = colored_qybe_verify(family, colors)
     except ValueError as exc:
         raise CliInputError(str(exc))
-    except KeyError as exc:
-        raise CliInputError("color missing from a table: %s" % exc)
-    report.add("colored-qybe", res.verdict, certified=res.certified,
-               witness=res.witness, notes=_cert_note(res))
+    report.add_grid("colored-qybe", colored_qybe_verify(family, colors))
     report.note("operator depends on the first color only, as constructed")
     return report
 
@@ -497,11 +499,6 @@ def cmd_dualize(args):
 
 # --- parser --------------------------------------------------------------
 
-def _add_json(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ybforge",
@@ -517,8 +514,6 @@ def build_parser():
                    choices=("pattern3", "full", "symmetrized"))
     p.add_argument("--expect", default=None,
                    help="comma list of properties that must hold")
-    _add_json(p)
-    p.set_defaults(func="cmd_algebra_check")
 
     p = sub.add_parser("examples", help="list or emit built-in structures")
     p.add_argument("action", choices=("list", "emit"))
@@ -528,8 +523,6 @@ def build_parser():
     p.add_argument("--t", default=None, help="second parameter for t21")
     p.add_argument("--beta", default=None, help="parameter for theorem22")
     p.add_argument("-o", "--output", default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_examples")
 
     ybe = sub.add_parser("ybe", help="build and verify Yang-Baxter operators")
     ysub = ybe.add_subparsers(dest="ybe_command", required=True)
@@ -541,8 +534,6 @@ def build_parser():
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("-o", "--output", default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_build")
 
     p = ysub.add_parser("verify", help="check braid/QYBE/invertibility")
     p.add_argument("operator", nargs="?", default="-",
@@ -551,38 +542,28 @@ def build_parser():
     p.add_argument("--qybe", action="store_true")
     p.add_argument("--invertible", action="store_true")
     p.add_argument("--equivalence", action="store_true")
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_verify")
 
     p = ysub.add_parser("colored", help="verify the two-parameter family")
     p.add_argument("--algebra", required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--grid", type=int, default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_colored")
 
     p = ysub.add_parser("oneparam", help="verify the one-parameter family")
     p.add_argument("--algebra", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--grid", type=int, default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_oneparam")
 
     p = ysub.add_parser("wxz38", help="verify the (W,X,Z) system")
     p.add_argument("--algebra", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_wxz38")
 
     p = ysub.add_parser("phi", help="build the bracket-plus-flip operator")
     p.add_argument("--lie", required=True)
     p.add_argument("--z", default=None, help="central vector, comma list")
     p.add_argument("--alpha", required=True)
     p.add_argument("-o", "--output", default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_phi")
 
     p = ysub.add_parser("super-colored",
                         help="verify the colored bracket family")
@@ -592,8 +573,6 @@ def build_parser():
                    help="color=value pairs, comma separated")
     p.add_argument("--beta-table", required=True)
     p.add_argument("--colors", default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_super_colored")
 
     p = ysub.add_parser("jordan-restricted",
                         help="braid relation on the squares family")
@@ -601,22 +580,21 @@ def build_parser():
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_jordan_restricted")
 
     p = ysub.add_parser("form8", help="match the 8x8 display template")
     p.add_argument("--algebra", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    _add_json(p)
-    p.set_defaults(func="cmd_ybe_form8")
 
     p = sub.add_parser("dualize", help="transpose a structure to its dual")
     p.add_argument("source")
     p.add_argument("-o", "--output", default=None)
-    _add_json(p)
-    p.set_defaults(func="cmd_dualize")
 
+    # every leaf subcommand takes --json, as its last option
+    leaves = [p for p in sub.choices.values() if p is not ybe]
+    for p in leaves + list(ysub.choices.values()):
+        p.add_argument("--json", action="store_true",
+                       help="emit the report as JSON")
     return parser
 
 
@@ -629,8 +607,11 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    command = args.command
+    if command == "ybe":
+        command += "_" + args.ybe_command
     try:
-        report = globals()[args.func](args)
+        report = globals()["cmd_" + command.replace("-", "_")](args)
     except (CliInputError, GridConfigError, PreconditionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
@@ -640,10 +621,10 @@ def main(argv=None):
         text = " ".join(str(exc).split())
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, text))
         return 3
-    quiet = (args.command == "examples" and args.action == "list")
-    if not quiet:
-        stream = sys.stderr if report.to_stderr else sys.stdout
-        emit_report(report, getattr(args, "json", False), stream=stream)
+    if report is None:
+        return 0
+    stream = sys.stderr if report.to_stderr else sys.stdout
+    emit_report(report, args.json, stream=stream)
     return report.exit_status()
 
 

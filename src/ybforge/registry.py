@@ -113,9 +113,5 @@ def build(name, *args):
     builder, params = REGISTRY[name]
     if len(args) > len(params):
         raise ValueError("%s takes at most %d parameters" % (name, len(params)))
-    try:
-        values = [rat_from_str(a) if isinstance(a, str) else to_rat(a)
-                  for a in args]
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %s%r" % (name, args)) from None
-    return builder(*values)
+    return builder(*[rat_from_str(a) if isinstance(a, str) else to_rat(a)
+                     for a in args])

@@ -576,3 +576,124 @@ def test_json_report_failure_carries_witness(capsys, tmp_path):
     assert braid["verdict"] is False
     assert braid["witness"] == [[0, 0, 1], [0, 0, 1]]
 
+
+
+# ---------- JSON that the parser itself refuses: exit 2, not 3 ----------
+
+# nested past the recursion limit, and an integer with more digits than
+# int() may parse
+MALFORMED_TEXT = {
+    "nested-100000": "[" * 100000,
+    "n-5000-digits": '{"kind": "linop2", "n": %s, "mat": []}' % ("1" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TEXT))
+@pytest.mark.parametrize("command", [["algebra-check"], ["ybe", "verify"]])
+def test_malformed_json_text_exits_2(capsys, tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_TEXT[name])
+    assert_rejected(*run(capsys, *command, str(path)))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TEXT))
+def test_malformed_json_on_stdin_exits_2(capsys, monkeypatch, name):
+    monkeypatch.setattr("sys.stdin", io.StringIO(MALFORMED_TEXT[name]))
+    assert_rejected(*run(capsys, "ybe", "verify", "-"))
+
+
+# ---------- examples emit: flags are the family's own parameters ----------
+
+EMIT_REFUSED = {
+    "t21-t-without-s": (["t21", "--t", "0"], "--t is given without --s"),
+    "split2-s": (["split2", "--s", "5"], "--s is not a parameter of split2"),
+    "t21-beta-and-m": (["t21", "--beta", "2", "--m", "3"],
+                       "--m is not a parameter of t21"),
+    "theorem22-t": (["theorem22", "--t", "1"],
+                    "--t is not a parameter of theorem22"),
+    "dual2-m": (["dual2", "--m", "1"], "--m is not a parameter of dual2"),
+    "unknown-name": (["octonions", "--m", "3"],
+                     "--m is not a parameter of octonions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_REFUSED))
+def test_examples_emit_refuses_flags_the_family_lacks(capsys, name):
+    argv, message = EMIT_REFUSED[name]
+    code, out, err = run(capsys, "examples", "emit", *argv)
+    assert_rejected(code, out, err)
+    assert message in err
+
+
+# registry name -> (flags, the inline source they stand for)
+EMIT_ACCEPTED = {
+    "dual2": ([], "dual2"),
+    "split2": (["--m", "3"], "split2(3)"),
+    "mat2": ([], "mat2"),
+    "t21": (["--s", "1", "--t", "0"], "t21(1,0)"),
+    "sym2jordan": ([], "sym2jordan"),
+    "heis3": ([], "heis3"),
+    "gl11": ([], "gl11"),
+    "theorem22": (["--beta", "2"], "theorem22(2)"),
+}
+
+
+def test_emit_accepted_cases_cover_the_registry():
+    assert sorted(EMIT_ACCEPTED) == registry.names()
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_ACCEPTED))
+def test_examples_emit_maps_flags_to_parameters(capsys, name):
+    flags, source = EMIT_ACCEPTED[name]
+    code, out, err = run(capsys, "examples", "emit", name, *flags)
+    assert code == 0
+    assert json.loads(out) == structure_to_json(registry.build(source))
+    assert "[PASS] emit:%s" % source in err
+
+
+def test_examples_emit_leading_parameter_alone(capsys):
+    code, out, _ = run(capsys, "examples", "emit", "t21", "--s", "1")
+    assert code == 0
+    assert json.loads(out) == structure_to_json(registry.build("t21", 1))
+
+
+# ---------- super-colored: bounded colour set, one value per key ----------
+
+def colour_table(count, value=lambda c: c + 1):
+    return ",".join("%d=%d" % (c, value(c)) for c in range(count))
+
+
+def test_super_colored_refuses_colours_above_grid_max(capsys):
+    count = ybforge.cli.GRID_MAX + 1
+    table = colour_table(count)
+    code, out, err = run(capsys, "ybe", "super-colored", "--lie", "gl11",
+                         "--alpha-table", table, "--beta-table", table)
+    assert_rejected(code, out, err)
+    assert err == "error: grid size %d is above the limit %d\n" % (
+        count, ybforge.cli.GRID_MAX)
+    colors = ",".join("0" for _ in range(count))
+    code, out, err = run(capsys, "ybe", "super-colored", "--lie", "gl11",
+                         "--alpha-table", "0=1", "--beta-table", "0=1",
+                         "--colors", colors)
+    assert_rejected(code, out, err)
+    assert "above the limit" in err
+
+
+def test_super_colored_runs_at_grid_max_colours(capsys):
+    # beta is not proportional to alpha, so the walk fails at its start
+    count = ybforge.cli.GRID_MAX
+    code, out, _ = run(capsys, "ybe", "super-colored", "--lie", "gl11",
+                       "--alpha-table", colour_table(count),
+                       "--beta-table", colour_table(count, lambda c: c * c + 1))
+    assert code == 1
+    assert "[FAIL] colored-qybe" in out
+    assert "u: %d points" % count in out
+
+
+@pytest.mark.parametrize("tables", [("0=1,1=2,0=3", "0=1,1=1"),
+                                    ("0=1,1=2", "0=1,1=1,1/1=2")])
+def test_super_colored_refuses_repeated_table_key(capsys, tables):
+    code, out, err = run(capsys, "ybe", "super-colored", "--lie", "heis3",
+                         "--alpha-table", tables[0], "--beta-table", tables[1])
+    assert_rejected(code, out, err)
+    assert "repeated key" in err
