@@ -15,6 +15,7 @@ returns no report (`examples list`, whose listing is its output) prints
 nothing more and exits 0.
 """
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,7 +105,7 @@ def emit_report(report, as_json, stream=None):
             "notes": report.notes,
             "exit": report.exit_status(),
         }
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(_dumps(payload) + "\n")
         return
     stream.write("ybforge %s: %s\n" % (__version__, report.command))
     for c in report.checks:
@@ -142,8 +143,34 @@ def _load_json(path):
         raise CliInputError("invalid JSON in %s: %s" % (path, exc))
 
 
+# json.dumps with an indent runs the pure-Python encoder; the C one, without
+# indent, encodes each list of scalars, with the indent in its item separator
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _scalar_list_encoder(pad):
+    return json.JSONEncoder(separators=("," + pad, ": "))
+
+
+def _dumps(value, depth=0):
+    """The text of json.dumps(value, indent=2)."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        items = ["%s: %s" % (json.dumps(k if isinstance(k, str) else json.dumps(k)),
+                             _dumps(v, depth + 1)) for k, v in value.items()]
+    elif not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value)
+    elif _SCALARS.issuperset(map(type, value)):
+        items = [_scalar_list_encoder(pad).encode(value)[1:-1]]
+    else:
+        items = [_dumps(v, depth + 1) for v in value]
+    body = pad + ("," + pad).join(items) + pad[:-2]
+    return "{%s}" % body if isinstance(value, dict) else "[%s]" % body
+
+
 def _write_json(doc, path, report=None):
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _dumps(doc) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
         if report is not None:
@@ -337,17 +364,19 @@ def cmd_ybe_verify(args):
               if getattr(args, name)]
     if not wanted:
         wanted = ["braid", "invertible", "equivalence"]
+    braid = None   # braid_qybe_equiv reuses the braid verdict when there is one
     for name in wanted:
         if name == "braid":
             witness = braid_witness(op)
-            report.add("braid", witness is None, witness=witness)
+            braid = witness is None
+            report.add("braid", braid, witness=witness)
         elif name == "qybe":
             witness = qybe_witness(op)
             report.add("qybe", witness is None, witness=witness)
         elif name == "invertible":
             report.add("invertible", mat_inverse(op.mat) is not None)
         else:
-            report.add("braid-qybe-equivalence", braid_qybe_equiv(op))
+            report.add("braid-qybe-equivalence", braid_qybe_equiv(op, braid))
     return report
 
 

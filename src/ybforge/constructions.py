@@ -134,13 +134,19 @@ def _grid_decide(description, names, grid, bound, certified, pencils, factors):
     expansion (`yb_vanishes_expanded`).  Without them, or on a FAIL, the
     witness is the first point of grid^3 in product order where
     (R, S, T) = factors(*point) fails, as a dict over names; with no
-    pencils the verdict is that no grid point fails.
+    pencils the verdict is that no grid point fails.  Each distinct triple
+    of operator objects is checked once.
     """
     verdict = None if pencils is None else yb_vanishes_expanded(*pencils)
     witness = None
     if not verdict:
+        seen = {}   # ids -> (triple, verdict); holding it keeps the ids unique
         for point in itertools.product(grid, repeat=3):
-            if not yb_vanishes(*factors(*point)):
+            ops = factors(*point)
+            key = tuple(map(id, ops))
+            if key not in seen:
+                seen[key] = ops, yb_vanishes(*ops)
+            if not seen[key][1]:
                 witness = dict(zip(names, point))
                 break
     if verdict is None:
@@ -391,10 +397,13 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
         if c not in atab or c not in btab:
             raise ValueError("tables must be total on the color set; missing %s" % c)
 
-    def evaluate(u, v):
-        u = to_rat(u)
+    @functools.cache
+    def operator(u):
         # KeyError on colors outside the tables
         return _formula_op(L, z, atab[u], 0, 0, -btab[u], L.grading)
+
+    def evaluate(u, v):
+        return operator(to_rat(u))
 
     return Family("superColored", L.n, {"alpha": atab, "beta": btab},
                   evaluate, colors)

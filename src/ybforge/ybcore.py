@@ -4,26 +4,23 @@ braid-type checks.
 Index convention everywhere: e_i (x) e_j sits at coordinate i*n + j, and
 e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.
 
-Every identity on V(x)3 is decided by slot action: `act` applies an operator
-R to slot pair (1,2), (2,3) or (1,3) of a sparse vector of integer
-numerators, so R12 = R(x)I, R23 = I(x)R and R13 = (I(x)tau)(R(x)I)(I(x)tau)
-are never formed as n^3 x n^3 matrices.  Each check pushes the basis vectors
-e_c (the restricted braid check: its spanning vectors, scaled to integers)
-through both words of an identity.  Both words are products of the same
-factors, so their denominators agree and comparing numerators is exact.  A
-verdict stops at the first column that differs; a witness is the row-major
-first mismatch of the dense difference (smallest output index, then smallest
-input column).
-
-A factor that is polynomial in parameters is passed to
-`yb_vanishes_expanded` as (monomial, operator) pieces.  The pieces of one
-factor share one denominator, so every word of the expansion carries the
-same denominator and its numerators compare exactly too.
+Every identity on V(x)3 is decided by slot action through one kernel,
+`_push`: it pushes (monomial, sparse vector) terms through a word's
+factors, each a list of (monomial, slot view) pieces, so R12 = R(x)I,
+R23 = I(x)R and R13 = (I(x)tau)(R(x)I)(I(x)tau) are never formed as
+n^3 x n^3 matrices.  A plain operator is one piece at monomial 0; a factor
+polynomial in parameters (`yb_vanishes_expanded`) has one piece per
+monomial, and the pieces of one factor share one denominator.  Each check
+pushes the basis vectors e_c (the restricted braid check: its spanning
+vectors, scaled to integers) through both words of an identity, which hold
+the same factors, so comparing numerators is exact.  A verdict stops at the
+first column that differs; a witness is the row-major first mismatch of the
+dense difference (smallest output index, then smallest input column).
 """
 from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, ne
+from operator import eq, ne
 
 from .exactla import (Mat, common_den, mat_inverse, mat_mul,
                       rat_pair_from_str)
@@ -111,43 +108,67 @@ def _slot_view(r, pos):
     # idx feeds, and offset + rest is the output index.
     view = r._views.get(pos)
     if view is None:
-        n = r.n
-        nn = n * n
-        if pos == 12:
-            place = [row * n for row in range(nn)]
-            split = [(idx // n, idx % n) for idx in range(nn * n)]
-        elif pos == 23:
-            place = list(range(nn))
-            split = [(idx % nn, idx - idx % nn) for idx in range(nn * n)]
-        elif pos == 13:
-            place = [(row // n) * nn + row % n for row in range(nn)]
-            split = [((idx // nn) * n + idx % n, idx % nn - idx % n)
-                     for idx in range(nn * n)]
-        else:
+        n, nn = r.n, r.n * r.n
+        if pos not in (12, 13, 23):
             raise ValueError("pos must be 12, 13 or 23")
-        cols = [tuple((place[row], m) for row, m in col)
+        place = (range(0, nn * n, n) if pos == 12 else range(nn) if pos == 23
+                 else [i + k for i in range(0, nn * n, nn) for k in range(n)])
+        cols = [[(place[row], m) for row, m in col]
                 for col in _nonzero_columns(r)]
-        view = [(rest, cols[c]) for c, rest in split]
+        if pos == 12:
+            view = [(k, col) for col in cols for k in range(n)]
+        elif pos == 23:
+            view = [(rest, col) for rest in range(0, nn * n, nn) for col in cols]
+        else:
+            view = [(rest, col) for i in range(0, nn, n)
+                    for rest in range(0, nn, n) for col in cols[i:i + n]]
         r._views[pos] = view
     return view
 
 
-def act(r, pos, vec):
-    """Apply r to slot pair pos (12, 23 or 13) of a sparse vector on V(x)3.
-
-    vec maps flat indices i*n^2 + j*n + k to integer numerators.  The result
-    holds the numerators of r_pos vec over one more factor of r.mat.den, with
-    zero entries dropped.
+def _push(word, starts):
+    """The slot-action kernel: yields {monomial: numerators} of word on each
+    start.  word lists its factors in the order they apply, as (monomial,
+    slot view) pieces with distinct int monomials (a plain operator is one
+    piece at 0).  A start is a sparse vector, or a basis index c, which
+    begins as e_c's placed view columns.  Terms of one monomial are summed;
+    zero entries are dropped only at the end, so plain words compare by ==.
     """
-    view = _slot_view(r, pos)
-    out = {}
-    get = out.get
-    for idx, x in vec.items():
-        rest, column = view[idx]
-        for offset, m in column:
-            o = offset + rest
-            out[o] = get(o, 0) + x * m
-    return {o: x for o, x in out.items() if x}
+    first, later = word[0], word[1:]
+    for start in starts:
+        if type(start) is int:
+            terms = {}
+            for mono, view in first:
+                rest, column = view[start]
+                terms[mono] = {offset + rest: m for offset, m in column}
+            factors = later
+        else:
+            terms, factors = {0: start}, word
+        for pieces in factors:
+            out = {}
+            for base, vec in terms.items():
+                for mono, view in pieces:
+                    acc = out.setdefault(base + mono, {})
+                    get = acc.get
+                    for idx, x in vec.items():
+                        rest, column = view[idx]
+                        for offset, m in column:
+                            o = offset + rest
+                            acc[o] = get(o, 0) + x * m
+            terms = out
+        out = {}
+        for mono, vec in terms.items():
+            if 0 in vec.values():
+                vec = {o: x for o, x in vec.items() if x}
+            if vec:
+                out[mono] = vec
+        yield out
+
+
+def act(r, pos, vec):
+    """r on slot pair pos (12, 23 or 13) of a sparse vector of integer
+    numerators on V(x)3, over one more factor of r.mat.den, without zeros."""
+    return next(_push([((0, _slot_view(r, pos)),)], (vec,))).get(0, {})
 
 
 def lift(r, pos):
@@ -161,32 +182,23 @@ def lift(r, pos):
     return LinOp3(r.n, Mat(n3, n3, num, r.mat.den))
 
 
-# A word is a tuple of factors (op, pos), applied right to left.  The two
-# words of an identity hold the same factors, so their numerators share one
-# denominator: the product of the factors' denominators.
-
-def _apply_word(word, vec):
-    for op, pos in reversed(word):
-        vec = act(op, pos, vec)
-    return vec
+def _word(*factors):
+    """The kernel's word for the factors (op, pos), written left to right."""
+    return [((0, _slot_view(op, pos)),) for op, pos in reversed(factors)]
 
 
-def _columns(lhs, rhs):
-    # (c, lhs e_c, rhs e_c) for every basis vector e_c of V(x)3
-    for c in range(lhs[0][0].n ** 3):
-        yield c, _apply_word(lhs, {c: 1}), _apply_word(rhs, {c: 1})
+def _words_agree(lhs, rhs, starts):
+    # the words on every start, up to the first one where they differ
+    return all(map(eq, _push(lhs, starts), _push(rhs, starts)))
 
 
-def _words_agree(lhs, rhs):
-    return all(a == b for _c, a, b in _columns(lhs, rhs))
-
-
-def _words_witness(lhs, rhs):
+def _words_witness(lhs, rhs, n):
     """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
-    words differ, or None."""
-    best = None
-    for c, a, b in _columns(lhs, rhs):
+    plain words differ, or None."""
+    best, cols = None, range(n ** 3)
+    for c, a, b in zip(cols, _push(lhs, cols), _push(rhs, cols)):
         if a != b:
+            a, b = a.get(0, {}), b.get(0, {})
             row = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
             if best is None or row < best[0]:
                 best = (row, c)
@@ -194,28 +206,27 @@ def _words_witness(lhs, rhs):
                     break
     if best is None:
         return None
-    n = lhs[0][0].n
     return tuple((flat // n ** 2, (flat // n) % n, flat % n)
                  for flat in (best[1], best[0]))
 
 
 def _braid_words(r):
-    return ((r, 12), (r, 23), (r, 12)), ((r, 23), (r, 12), (r, 23))
+    return _word((r, 12), (r, 23), (r, 12)), _word((r, 23), (r, 12), (r, 23))
 
 
 def _yb_words(r, s, t):
     if not (r.n == s.n == t.n):
         raise ValueError("dim mismatch")
-    return ((r, 12), (s, 13), (t, 23)), ((t, 23), (s, 13), (r, 12))
+    return _word((r, 12), (s, 13), (t, 23)), _word((t, 23), (s, 13), (r, 12))
 
 
 def braid_check(r):
-    return _words_agree(*_braid_words(r))
+    return _words_agree(*_braid_words(r), range(r.n ** 3))
 
 
 def braid_witness(r):
     """None when the braid equation holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _words_witness(*_braid_words(r))
+    return _words_witness(*_braid_words(r), r.n)
 
 
 def qybe_check(r):
@@ -224,7 +235,7 @@ def qybe_check(r):
 
 def qybe_witness(r):
     """None when the QYBE holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _words_witness(*_yb_words(r, r, r))
+    return _words_witness(*_yb_words(r, r, r), r.n)
 
 
 def is_yb_operator(r):
@@ -234,10 +245,11 @@ def is_yb_operator(r):
     return YbReport(braid, invertible, braid and invertible)
 
 
-def braid_qybe_equiv(r):
-    """Metamorphic identity: braid(R) <=> QYBE(R tau) <=> QYBE(tau R)."""
+def braid_qybe_equiv(r, braid=None):
+    """Metamorphic identity: braid(R) <=> QYBE(R tau) <=> QYBE(tau R), with
+    braid the braid verdict of R when the caller already has it."""
     tau = twist(r.n)
-    b = braid_check(r)
+    b = braid_check(r) if braid is None else braid
     q1 = qybe_check(compose(r, tau))
     q2 = qybe_check(compose(tau, r))
     return b == q1 == q2
@@ -245,56 +257,34 @@ def braid_qybe_equiv(r):
 
 def yb_vanishes(r, s, t):
     """True iff [R,S,T] = 0, stopping at the first column that differs."""
-    return _words_agree(*_yb_words(r, s, t))
-
-
-def _expand_word(word, term):
-    # (monomial, numerators) for each choice of one piece per factor, starting
-    # from term and applying the factors right to left; choices that vanish
-    # are dropped
-    terms = [term]
-    for pieces, pos in reversed(word):
-        terms = [(tuple(map(add, m, mono)), act(op, pos, v))
-                 for m, v in terms for mono, op in pieces]
-        terms = [(m, v) for m, v in terms if v]
-    return terms
+    return _words_agree(*_yb_words(r, s, t), range(r.n ** 3))
 
 
 def yb_vanishes_expanded(r, s, t):
     """True iff [R,S,T] = 0 for every value of the parameters.
 
     R, S and T are polynomial in the parameters, each given as a sequence of
-    (monomial, LinOp2) pieces: the monomial is a tuple of exponents, and the
-    factor is the sum of monomial * operator.  Both words R12 S13 T23 and
-    T23 S13 R12 are expanded into one word per choice of pieces; each basis
-    vector e_c is pushed through every word with `act`, and the results are
-    grouped by the product monomial.  The identity holds for all parameter
-    values iff every group's coefficient column is zero, so the verdict stops
-    at the first monomial of the first column whose coefficient is nonzero.
-
-    The pieces of one factor must share one denominator (their mat.den), so
-    that the numerators of all words agree in denominator and compare
-    exactly.
+    (monomial, LinOp2) pieces with distinct monomials: the monomial is a
+    tuple of exponents, and the factor is the sum of monomial * operator.
+    The kernel gets each monomial packed into one int, in signed fields wide
+    enough for a product of three factors.  The identity holds iff both
+    words agree on every monomial of every column e_c.  The pieces of one
+    factor must share one denominator (their mat.den), so that the
+    numerators of all words agree in denominator and compare exactly.
     """
     for pieces in (r, s, t):
         if len({op.mat.den for _m, op in pieces}) != 1:
             raise ValueError("pieces of a factor must share one denominator")
+        if len({m for m, _op in pieces}) != len(pieces):
+            raise ValueError("monomials of a factor must be distinct")
     n = r[0][1].n
     if any(op.n != n for pieces in (r, s, t) for _m, op in pieces):
         raise ValueError("dim mismatch")
-    lhs = ((r, 12), (s, 13), (t, 23))
-    rhs = ((t, 23), (s, 13), (r, 12))
-    one = (0,) * len(r[0][0])
-    for c in range(n ** 3):
-        groups = {}
-        for word, sign in ((lhs, 1), (rhs, -1)):
-            for mono, vec in _expand_word(word, (one, {c: 1})):
-                acc = groups.setdefault(mono, {})
-                for k, x in vec.items():
-                    acc[k] = acc.get(k, 0) + sign * x
-        if any(any(acc.values()) for acc in groups.values()):
-            return False
-    return True
+    width = 1 + (3 * max((abs(e) for pieces in (r, s, t) for m, _op in pieces
+                          for e in m), default=0)).bit_length()
+    rhs = [[(sum(e << width * i for i, e in enumerate(m)), _slot_view(op, pos))
+            for m, op in pieces] for pieces, pos in ((r, 12), (s, 13), (t, 23))]
+    return _words_agree(rhs[::-1], rhs, range(n ** 3))
 
 
 def wxz_check(w, x, z):
@@ -325,7 +315,7 @@ def restricted_braid_check(r, spanning):
 def _braid_kills(r, vecs):
     """True iff both braid words agree on every sparse integer vector."""
     lhs, rhs = _braid_words(r)
-    return all(_apply_word(lhs, v) == _apply_word(rhs, v) for v in vecs)
+    return _words_agree(lhs, rhs, vecs)
 
 
 def linop2_to_json(r):

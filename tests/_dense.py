@@ -9,17 +9,18 @@ files of the package against them.
 
 The last section holds dense matrix helpers that the package itself no
 longer calls (entrywise sums and differences, zero tests, matrix times
-vector, the identity on V(x)V and the dense commutator [R,S,T]); tests
-build their references with them.
+vector, the identity on V(x)V, dense lifts to slot pairs of V(x)3 and the
+dense commutator [R,S,T]); tests build their references with them.  The
+lifts read r.mat entry by entry, never a slot view of the package.
 """
 import itertools
 from fractions import Fraction
 
 from ybforge.exactla import (Mat, _aligned, mat_from_columns, mat_from_rows,
-                             mat_identity, rat_from_str, rat_to_str)
+                             mat_identity, mat_mul, rat_from_str, rat_to_str)
 from ybforge.structures import (SuperLieSpec, _w_generators, dualize_co,
                                 group_elements)
-from ybforge.ybcore import LinOp2, LinOp3, _columns, _yb_words
+from ybforge.ybcore import LinOp2, LinOp3
 
 
 def basis_vec(n, i):
@@ -245,19 +246,36 @@ def identity2(n):
     return LinOp2(n, mat_identity(n * n))
 
 
-def _words_diff(lhs, rhs):
-    """lhs - rhs as a dense Mat on V(x)3."""
-    n3 = lhs[0][0].n ** 3
-    num = [0] * (n3 * n3)
-    for c, a, b in _columns(lhs, rhs):
-        for row in a.keys() | b.keys():
-            num[row * n3 + c] = a.get(row, 0) - b.get(row, 0)
-    den = 1
-    for op, _pos in lhs:
-        den *= op.mat.den
-    return Mat(n3, n3, num, den)
+def dense_lift(r, pos):
+    """R12, R23 or R13 on V(x)3 as a dense Mat, entry by entry from the rows
+    of r.mat: an entry is nonzero only where the slot that R does not touch
+    keeps its index."""
+    n = r.n
+    rows = r.mat.to_rows()
+    out = [[Fraction(0)] * n ** 3 for _ in range(n ** 3)]
+    for i, j, k, p, q, s in itertools.product(range(n), repeat=6):
+        col, row = (i * n + j) * n + k, (p * n + q) * n + s
+        if pos == 12 and k == s:
+            out[row][col] = rows[p * n + q][i * n + j]
+        elif pos == 23 and i == p:
+            out[row][col] = rows[q * n + s][j * n + k]
+        elif pos == 13 and j == q:
+            out[row][col] = rows[p * n + s][i * n + k]
+    return mat_from_rows(out)
+
+
+def dense_word(*factors):
+    """The dense product of the lifts (op, pos), written left to right."""
+    out = None
+    for op, pos in factors:
+        lifted = dense_lift(op, pos)
+        out = lifted if out is None else mat_mul(out, lifted)
+    return out
 
 
 def yb_commutator(r, s, t):
-    """[R,S,T] = R12 S13 T23 - T23 S13 R12 on V^(x3)."""
-    return LinOp3(r.n, _words_diff(*_yb_words(r, s, t)))
+    """[R,S,T] = R12 S13 T23 - T23 S13 R12 on V^(x3), from dense lifts."""
+    if not (r.n == s.n == t.n):
+        raise ValueError("dim mismatch")
+    return LinOp3(r.n, mat_sub(dense_word((r, 12), (s, 13), (t, 23)),
+                               dense_word((t, 23), (s, 13), (r, 12))))

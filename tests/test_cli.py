@@ -697,3 +697,49 @@ def test_super_colored_refuses_repeated_table_key(capsys, tables):
                          "--alpha-table", tables[0], "--beta-table", tables[1])
     assert_rejected(code, out, err)
     assert "repeated key" in err
+
+
+# ---------- JSON text and reused verdicts ----------
+
+def test_json_text_matches_json_dumps(capsys):
+    from ybforge.cli import _dumps
+    from ybforge.constructions import r_algebra
+    from ybforge.ybcore import linop2_to_json
+    docs = [linop2_to_json(r_algebra(registry.build("mat2"), 2, 3, 2)),
+            {"names": registry.names()}, {"names": []}, {}, [], [[]],
+            [{}, [], [[], {}]], {"a": {"b": []}}, 0, None, "é",
+            {"x": [1, -2.5, True, None, "a\"b"], "y": [[1, [2]], "c"]},
+            {1: "int key", None: [], True: {}, 2.5: [0]}, ([1], (2, 3))]
+    for name in registry.names():
+        docs.append(structure_to_json(registry.build(name)))
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+    # a report payload, as --json writes it, including an empty notes list
+    for argv in (["ybe", "oneparam", "--algebra", "sym2jordan", "--q", "2"],
+                 ["ybe", "wxz38", "--algebra", "dual2", "--lambda", "1",
+                  "--mu", "2"]):
+        main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_verify_reuses_the_braid_verdict(capsys, tmp_path, monkeypatch):
+    from ybforge import ybcore
+    path = tmp_path / "op.json"
+    run(capsys, "ybe", "build", "rA", "--algebra", "dual2",
+        "--alpha", "1", "--beta", "2", "--gamma", "1", "-o", str(path))
+    calls = []
+    check = ybcore.braid_check
+
+    def counted(r):
+        calls.append(r)
+        return check(r)
+
+    monkeypatch.setattr(ybcore, "braid_check", counted)
+    for flags, expect in (([], 0), (["--braid", "--equivalence"], 0),
+                          (["--equivalence"], 1)):
+        del calls[:]
+        code, out, _ = run(capsys, "ybe", "verify", str(path), *flags)
+        assert code == 0
+        assert "[PASS] braid-qybe-equivalence" in out
+        assert len(calls) == expect

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybforge import constructions
+from ybforge import constructions, registry
 from ybforge.constructions import (Family, _formula_op, colored_qybe_verify,
                                    oneparam_verify, r_colored,
                                    r_super_colored, s_oneparam)
@@ -314,3 +314,48 @@ def test_pieces_of_a_factor_must_share_a_denominator():
     r, s, t = _oneparam_pieces(P, Q)
     with pytest.raises(ValueError):
         yb_vanishes_expanded(r, [s[0], ((0, 0), q3)], t)
+
+
+def grid_super_colored(L, z, atab, btab, colors):
+    """(verdict, witness) of the super-colored QYBE over colors^3, with a
+    fresh operator built at every factor of every point."""
+    def op(u):
+        return _formula_op(L, z, Fraction(atab[u]), 0, 0, -Fraction(btab[u]),
+                           L.grading)
+
+    for u, v, w in itertools.product(colors, repeat=3):
+        if not yb_vanishes(op(u), op(u), op(v)):
+            return False, {"u": u, "v": v, "w": w}
+    return True, None
+
+
+@SEEDED
+@given(st.sampled_from(["gl11", "heis3"]), st.integers(1, 5),
+       st.lists(st.sampled_from([1, 2, -1, 3]), min_size=10, max_size=10))
+def test_super_colored_matches_the_full_color_loop(name, size, values):
+    L = build(name)
+    z = [Fraction(v) for v in registry.DEFAULT_Z[name]]
+    colors = [Fraction(c) for c in range(size)]
+    atab = dict(zip(colors, values[:5]))
+    btab = dict(zip(colors, values[5:]))
+    verdict, witness = grid_super_colored(L, z, atab, btab, colors)
+    res = colored_qybe_verify(r_super_colored(L, z, atab, btab, colors), colors)
+    assert (res.verdict, res.witness) == (verdict, witness)
+
+
+def test_super_colored_pass_checks_each_operator_triple_once(monkeypatch):
+    # 6 colours all mapped to 1: the identity holds, and the operator depends
+    # on the first colour only, so 36 of the 216 points are distinct triples
+    calls = []
+
+    def counted(*ops):
+        calls.append(ops)
+        return yb_vanishes(*ops)
+
+    monkeypatch.setattr(constructions, "yb_vanishes", counted)
+    colors = list(range(6))
+    table = {c: 1 for c in colors}
+    fam = r_super_colored(build("heis3"), registry.DEFAULT_Z["heis3"], table,
+                          table, colors)
+    assert colored_qybe_verify(fam, colors).verdict
+    assert len(calls) == 36
