@@ -213,20 +213,9 @@ GRID_MAX = 32
 
 
 def _grid_points(arg_value, tag, bound, nonzero=False):
-    """Resolve grid size from --grid, then YBFORGE_GRID, then bound + 1; the
-    degree bound is kept beside its family in `constructions`."""
-    size = None
-    if arg_value is not None:
-        size = arg_value
-    else:
-        env = os.environ.get("YBFORGE_GRID")
-        if env:
-            try:
-                size = int(env)
-            except ValueError:
-                raise CliInputError("YBFORGE_GRID must be an integer, got %r" % env)
-    if size is None:
-        size = bound + 1
+    """Resolve grid size from --grid, else bound + 1; the degree bound is
+    kept beside its family in `constructions`."""
+    size = bound + 1 if arg_value is None else arg_value
     if size < bound + 1:
         raise CliInputError(
             "grid size %d is below the certification bound %d for %s"

@@ -22,13 +22,12 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactla import (Mat, common_den, mat_identity, mat_mul, mat_scale,
-                      mat_transpose, to_rat)
+from .exactla import Mat, common_den, mat_from_rows, to_rat
 from .paramgrid import GridConfigError, GridResult
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
-from .ybcore import (LinOp2, _braid_kills, braid_check, compose, twist,
-                     yb_vanishes, yb_vanishes_expanded)
+from .ybcore import (LinOp2, _braid_kills, braid_check, composes_to_identity,
+                     with_twist, yb_vanishes, yb_vanishes_expanded)
 
 
 class NotYangBaxterError(ValueError):
@@ -207,7 +206,9 @@ def matrix_form8(A2, alpha, beta):
     if unit != [Fraction(1), Fraction(0)]:
         raise PreconditionError("basis must be ordered (1, x) with 1 the unit")
     r = r_algebra(A2, alpha, beta, alpha)
-    display = mat_transpose(mat_scale(compose(r, twist(2)).mat, 1 / beta))
+    r_tau = with_twist(r).mat
+    display = mat_from_rows([[r_tau.entry(j, i) / beta for j in range(4)]
+                             for i in range(4)])
     q8 = alpha / beta
     eta8 = display.entry(3, 0)
 
@@ -361,8 +362,8 @@ def wxz_from_colored(F, s, t):
 def phi_super(L, z, alpha):
     """phi(x(x)y) = alpha [x,y](x)z + (-1)^{|x||y|} y(x)x, with its formula
     inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x.  Their product is checked
-    to be the identity; for square matrices that makes the formula a
-    two-sided inverse, so a returned pair proves phi invertible."""
+    to be the identity by slot action; for square matrices that makes the
+    formula a two-sided inverse, so a returned pair proves phi invertible."""
     rep = center_contains(L, z)
     if not rep:
         raise PreconditionError(
@@ -373,7 +374,7 @@ def phi_super(L, z, alpha):
     # the template subtracts its swap term, so c_swap = -1 adds y(x)x
     op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
     inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)
-    if mat_mul(op.mat, inv.mat) != mat_identity(L.n ** 2):
+    if not composes_to_identity(op, inv):
         raise RuntimeError("formula inverse failed")
     return PhiPair(op, inv)
 

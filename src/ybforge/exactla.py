@@ -2,9 +2,10 @@
 
 Scalars are arbitrary-precision rationals (fractions.Fraction, aliased Rat).
 A Mat stores one common positive denominator and a flat row-major list of
-integer numerators, canonically reduced, so matrix and Kronecker products
-run on the plain big-integer kernels of `_kernels`.  Equality is exact
-everywhere; there is no tolerance anywhere in this package.
+integer numerators, canonically reduced.  Equality is exact everywhere;
+there is no tolerance anywhere in this package.  No check multiplies
+matrices: `mat_mul` and `kron`, on the big-integer kernels of `_kernels`,
+are reached from no other module and stay only while perfbench hooks them.
 
 One helper, `common_den`, brings rationals to integer numerators over one
 denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
@@ -128,13 +129,6 @@ def mat_from_rows(rows):
     return Mat(r, c, num, den)
 
 
-def mat_identity(n):
-    num = [0] * (n * n)
-    for i in range(n):
-        num[i * n + i] = 1
-    return Mat(n, n, num, 1, _reduced=True)
-
-
 def mat_mul(a, b):
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d by %dx%d"
@@ -156,20 +150,6 @@ def _aligned(a, b):
     na = a.num if sa == 1 else [x * sa for x in a.num]
     nb = b.num if sb == 1 else [x * sb for x in b.num]
     return na, nb, d
-
-
-def mat_scale(a, s):
-    s = Fraction(s)
-    return Mat(a.rows, a.cols, [x * s.numerator for x in a.num],
-               a.den * s.denominator)
-
-
-def mat_transpose(a):
-    num = [0] * (a.rows * a.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            num[j * a.rows + i] = a.num[i * a.cols + j]
-    return Mat(a.cols, a.rows, num, a.den, _reduced=True)
 
 
 def first_mismatch(a, b):

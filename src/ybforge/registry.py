@@ -103,10 +103,13 @@ def names():
 
 def build(name, *args):
     """Build a registry structure; args are positional rational parameters,
-    also accepted inline as "name(arg,...)"."""
+    also accepted inline as "name(arg,...)"; "name()" passes none, and an
+    empty argument in a non-empty list is a ValueError."""
     if "(" in name and name.endswith(")"):
         base, _, rest = name.partition("(")
-        inline = [tok for tok in rest[:-1].split(",") if tok.strip()]
+        inline = rest[:-1].split(",") if rest[:-1].strip() else []
+        if not all(tok.strip() for tok in inline):
+            raise ValueError("empty argument in %r" % name)
         return build(base.strip(), *inline)
     if name not in REGISTRY:
         raise KeyError("unknown example %r (have: %s)" % (name, ", ".join(names())))

@@ -407,11 +407,16 @@ def theorem22_instance(beta):
 
 def thm22_conditions(C, eps, zeta):
     """(eps(x)eps) . eta = zeta and (zeta(x)zeta) . eta = eps, exactly."""
+    n = C.n
+    if len(eps) != n or len(zeta) != n:
+        raise ValueError("covectors must have %d entries, got %d and %d"
+                         % (n, len(eps), len(zeta)))
     eps = [to_rat(x) for x in eps]
     zeta = [to_rat(x) for x in zeta]
-    if len(row_space_basis([eps, zeta])) != 2:
+    # independent iff some 2x2 minor of the rows (eps, zeta) is nonzero
+    if all(eps[i] * zeta[j] == eps[j] * zeta[i]
+           for i in range(n) for j in range(i + 1, n)):
         raise PreconditionError("covectors must be linearly independent")
-    n = C.n
     for k in range(n):
         dk = C.d[k]
         ee = sum(dk[i][j] * eps[i] * eps[j] for i in range(n) for j in range(n))

@@ -22,8 +22,7 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import eq, ne
 
-from .exactla import (Mat, common_den, mat_inverse, mat_mul,
-                      rat_pair_from_str)
+from .exactla import Mat, common_den, mat_inverse, rat_pair_from_str
 
 
 class LinOp2:
@@ -71,19 +70,16 @@ class WxzReport(namedtuple("WxzReport", "www zzz wxx xxz")):
         return self.www and self.zzz and self.wxx and self.xxz
 
 
-def twist(n):
-    """tau(v(x)w) = w(x)v as a permutation matrix."""
-    num = [0] * n ** 4
-    for i in range(n):
-        for j in range(n):
-            num[(j * n + i) * n * n + (i * n + j)] = 1
-    return LinOp2(n, Mat(n * n, n * n, num, 1, _reduced=True))
-
-
-def compose(a, b):
-    if a.n != b.n:
-        raise ValueError("dim mismatch")
-    return LinOp2(a.n, mat_mul(a.mat, b.mat))
+def with_twist(r, left=False):
+    """tau R when left, else R tau, tau(v(x)w) = w(x)v: composing with tau
+    only relabels the rows or the columns of R."""
+    n, nn, num = r.n, r.n * r.n, r.mat.num
+    swap = [j * n + i for i in range(n) for j in range(n)]
+    if left:
+        out = [num[swap[row] * nn + c] for row in range(nn) for c in range(nn)]
+    else:
+        out = [num[row * nn + swap[c]] for row in range(nn) for c in range(nn)]
+    return LinOp2(n, Mat(nn, nn, out, r.mat.den))
 
 
 def _nonzero_columns(r):
@@ -245,14 +241,20 @@ def is_yb_operator(r):
     return YbReport(braid, invertible, braid and invertible)
 
 
+def composes_to_identity(a, b):
+    """True iff a b = I on V(x)V: the word (b, a) on slot pair 12 takes each
+    e_c(x)e_0 to itself, over the denominator a.mat.den * b.mat.den."""
+    starts, den = range(0, a.n ** 3, a.n), a.mat.den * b.mat.den
+    return all(out == {0: {c: den}} for c, out
+               in zip(starts, _push(_word((a, 12), (b, 12)), starts)))
+
+
 def braid_qybe_equiv(r, braid=None):
     """Metamorphic identity: braid(R) <=> QYBE(R tau) <=> QYBE(tau R), with
     braid the braid verdict of R when the caller already has it."""
-    tau = twist(r.n)
     b = braid_check(r) if braid is None else braid
-    q1 = qybe_check(compose(r, tau))
-    q2 = qybe_check(compose(tau, r))
-    return b == q1 == q2
+    return (b == qybe_check(with_twist(r))
+            == qybe_check(with_twist(r, left=True)))
 
 
 def yb_vanishes(r, s, t):

@@ -8,8 +8,9 @@ denominator.  They read only the public `Fraction` tables (`A.c`, `S.b`,
 files of the package against them.
 
 The last section holds dense matrix helpers that the package itself no
-longer calls (entrywise sums and differences, zero tests, matrix times
-vector, the identity on V(x)V, dense lifts to slot pairs of V(x)3 and the
+longer calls (the identity, scaling, transpose, entrywise sums and
+differences, zero tests, matrix times vector, the twist tau on V(x)V and
+composition by dense product, dense lifts to slot pairs of V(x)3 and the
 dense commutator [R,S,T]); tests build their references with them.  The
 lifts read r.mat entry by entry, never a slot view of the package.
 """
@@ -17,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from ybforge.exactla import (Mat, _aligned, mat_from_columns, mat_from_rows,
-                             mat_identity, mat_mul, rat_from_str, rat_to_str)
+                             mat_mul, rat_from_str, rat_to_str)
 from ybforge.structures import (SuperLieSpec, _w_generators, dualize_co,
                                 group_elements)
 from ybforge.ybcore import LinOp2, LinOp3
@@ -204,6 +205,27 @@ def linop2_from_json(obj):
 
 # ---------- dense matrix helpers ----------
 
+def mat_identity(n):
+    num = [0] * (n * n)
+    for i in range(n):
+        num[i * n + i] = 1
+    return Mat(n, n, num, 1, _reduced=True)
+
+
+def mat_scale(a, s):
+    s = Fraction(s)
+    return Mat(a.rows, a.cols, [x * s.numerator for x in a.num],
+               a.den * s.denominator)
+
+
+def mat_transpose(a):
+    num = [0] * (a.rows * a.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            num[j * a.rows + i] = a.num[i * a.cols + j]
+    return Mat(a.cols, a.rows, num, a.den, _reduced=True)
+
+
 def mat_zeros(rows, cols):
     return Mat(rows, cols, [0] * (rows * cols), 1, _reduced=True)
 
@@ -244,6 +266,22 @@ def mat_apply(a, v):
 
 def identity2(n):
     return LinOp2(n, mat_identity(n * n))
+
+
+def twist(n):
+    """tau(v(x)w) = w(x)v as a permutation matrix."""
+    num = [0] * n ** 4
+    for i in range(n):
+        for j in range(n):
+            num[(j * n + i) * n * n + (i * n + j)] = 1
+    return LinOp2(n, Mat(n * n, n * n, num, 1, _reduced=True))
+
+
+def compose(a, b):
+    """a b by the dense product of their matrices."""
+    if a.n != b.n:
+        raise ValueError("dim mismatch")
+    return LinOp2(a.n, mat_mul(a.mat, b.mat))
 
 
 def dense_lift(r, pos):

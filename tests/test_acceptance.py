@@ -18,16 +18,16 @@ from ybforge.constructions import (colored_qybe_verify, jordan_r_restricted,
                                    r_algebra, r_colored, r_super_colored,
                                    s_oneparam, thm32_inverse, thm32_predict,
                                    wxz_from_colored, wxz_thm38)
-from _dense import (identity2, mat_add, mat_apply, mat_sub,
-                    vec_is_zero)
-from ybforge.exactla import mat_from_rows, mat_identity, mat_mul, mat_scale
+from _dense import (compose, identity2, mat_add, mat_apply, mat_identity,
+                    mat_scale, mat_sub, twist, vec_is_zero)
+from ybforge.exactla import mat_from_rows, mat_mul
 from ybforge.paramgrid import default_grid
 from ybforge.structures import (basis_vec, coalgebra_props, dualize,
                                 jordan_co_check, jordan_w_check, mul_vec,
                                 theorem21_verdict, theorem22_instance,
                                 thm22_conditions)
-from ybforge.ybcore import (LinOp2, braid_qybe_equiv, compose,
-                            is_yb_operator, lift, twist, wxz_check)
+from ybforge.ybcore import (LinOp2, braid_qybe_equiv, is_yb_operator, lift,
+                            wxz_check)
 
 DUAL2 = registry.build("dual2")
 MAT2 = registry.build("mat2")

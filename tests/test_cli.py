@@ -173,6 +173,9 @@ MALFORMED_ARGV = {
     "table-key-exponent": ["ybe", "super-colored", "--lie", "gl11",
                            "--alpha-table", "1E3000000=1",
                            "--beta-table", "0=1"],
+    "inline-empty-first": ["algebra-check", "t21(,1,0)"],
+    "inline-all-empty": ["algebra-check", "split2(,)"],
+    "inline-empty-last": ["algebra-check", "t21(1,)"],
 }
 
 
@@ -240,10 +243,10 @@ def test_malformed_argument_exits_2(capsys, name):
     assert_rejected(*run(capsys, *MALFORMED_ARGV[name]))
 
 
-def test_env_grid_above_limit_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("YBFORGE_GRID", str(ybforge.cli.GRID_MAX + 1))
+def test_grid_just_above_limit_exits_2(capsys):
     code, out, err = run(capsys, "ybe", "colored", "--algebra", "dual2",
-                         "--p", "2", "--q", "3")
+                         "--p", "2", "--q", "3",
+                         "--grid", str(ybforge.cli.GRID_MAX + 1))
     assert_rejected(code, out, err)
     assert "above the limit" in err
 
@@ -399,20 +402,11 @@ def test_colored_certified(capsys):
     assert "u: 4 points, degree bound 3" in out
 
 
-def test_colored_env_grid_too_small(capsys, monkeypatch):
-    monkeypatch.setenv("YBFORGE_GRID", "3")
+def test_colored_grid_too_small(capsys):
     code, _, err = run(capsys, "ybe", "colored", "--algebra", "dual2",
-                       "--p", "2", "--q", "3")
+                       "--p", "2", "--q", "3", "--grid", "3")
     assert code == 2
     assert "below the certification bound" in err
-
-
-def test_colored_explicit_grid_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("YBFORGE_GRID", "3")
-    code, out, _ = run(capsys, "ybe", "colored", "--algebra", "dual2",
-                       "--p", "2", "--q", "3", "--grid", "5")
-    assert code == 0
-    assert "u: 5 points" in out
 
 
 def test_oneparam_certified(capsys):

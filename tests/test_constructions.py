@@ -14,12 +14,12 @@ from ybforge.constructions import (NotYangBaxterError, colored_qybe_verify,
                                    r_colored, r_super_colored, s_oneparam,
                                    thm32_inverse, thm32_predict, wxz_from_colored,
                                    wxz_thm38)
-from _dense import identity2, mat_add
-from ybforge.exactla import mat_identity, mat_mul, mat_scale
+from _dense import (compose, identity2, mat_add, mat_identity, mat_scale,
+                    twist)
+from ybforge.exactla import mat_mul
 from ybforge.paramgrid import GridConfigError, default_grid
 from ybforge.structures import MissingUnitError, PreconditionError
-from ybforge.ybcore import (LinOp2, braid_check, compose, is_yb_operator,
-                            twist, wxz_check)
+from ybforge.ybcore import LinOp2, braid_check, is_yb_operator, wxz_check
 
 DUAL2 = registry.build("dual2")
 MAT2 = registry.build("mat2")
@@ -271,8 +271,14 @@ def test_phi_super_yang_baxter(alpha):
 def test_phi_super_checks_its_inverse(monkeypatch):
     # the check must raise even under `python -O`, so it is no assert
     from ybforge import constructions
-    monkeypatch.setattr(constructions, "mat_identity",
-                        lambda n: mat_scale(mat_identity(n), 2))
+    formula_op = constructions._formula_op
+
+    def doubled_inverse(A, z, c_ab1, *rest):
+        # phi is the one call with c_ab1 = alpha != 0; its inverse has 0
+        op = formula_op(A, z, c_ab1, *rest)
+        return op if c_ab1 else LinOp2(op.n, mat_scale(op.mat, 2))
+
+    monkeypatch.setattr(constructions, "_formula_op", doubled_inverse)
     with pytest.raises(RuntimeError, match="formula inverse failed"):
         phi_super(HEIS3, Z_HEIS, 1)
 

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from _dense import (mat_add, mat_apply, mat_is_zero, mat_sub, mat_zeros,
-                    vec_is_zero)
+from _dense import (mat_add, mat_apply, mat_identity, mat_is_zero, mat_scale,
+                    mat_sub, mat_transpose, mat_zeros, vec_is_zero)
 from ybforge.exactla import (Mat, first_mismatch, kron, mat_from_columns,
-                             mat_from_rows, mat_identity, mat_inverse,
-                             mat_mul, mat_scale, mat_transpose, project_onto,
-                             rat_from_str, rat_pair_from_str, rat_to_str,
-                             row_space_basis)
+                             mat_from_rows, mat_inverse, mat_mul,
+                             project_onto, rat_from_str, rat_pair_from_str,
+                             rat_to_str, row_space_basis)
 
 
 def rows(m):

@@ -24,16 +24,16 @@ from hypothesis import given, settings, strategies as st
 
 from ybforge import constructions
 from ybforge.constructions import _adjoin_unit, jordan_r_restricted, r_algebra
-from _dense import mat_is_zero, mat_sub, vec_is_zero
+from _dense import (mat_identity, mat_is_zero, mat_sub, mat_transpose, twist,
+                    vec_is_zero)
 from ybforge.exactla import (kron, mat_from_columns, mat_from_rows,
-                             mat_identity, mat_inverse, mat_mul,
-                             mat_transpose, row_space_basis)
+                             mat_inverse, mat_mul, row_space_basis)
 from ybforge.structures import (AlgebraSpec, CoalgebraSpec, PreconditionError,
                                 basis_vec, check_algebra_props,
                                 coalgebra_props, dualize, jordan_co_check,
                                 jordan_w_check, mul_vec)
 from ybforge.registry import build
-from ybforge.ybcore import _braid_kills, lift, twist
+from ybforge.ybcore import _braid_kills, lift
 
 MODES = ("pattern3", "full", "symmetrized")
 GRID = [Fraction(g) for g in range(4)]

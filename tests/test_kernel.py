@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _dense import (dense_lift, dense_word, identity2, mat_add, mat_apply,
-                    mat_sub)
-from ybforge.exactla import Mat, kron, mat_from_rows, mat_identity
+                    mat_identity, mat_sub)
+from ybforge.exactla import Mat, kron, mat_from_rows
 from ybforge.ybcore import (LinOp2, _braid_kills, _push, _slot_view, _word,
                             braid_check, braid_witness, qybe_check,
                             qybe_witness, yb_vanishes, yb_vanishes_expanded)

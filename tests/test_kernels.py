@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 from ybforge import _kernels
-from ybforge.exactla import mat_from_rows, mat_identity, mat_mul, kron
+from _dense import mat_identity
+from ybforge.exactla import mat_from_rows, mat_mul, kron
 
 
 def test_pure_matmul_reference():

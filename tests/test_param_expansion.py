@@ -19,12 +19,12 @@ from ybforge import constructions, registry
 from ybforge.constructions import (Family, _formula_op, colored_qybe_verify,
                                    oneparam_verify, r_colored,
                                    r_super_colored, s_oneparam)
-from _dense import mat_add
-from ybforge.exactla import Mat, mat_scale
+from _dense import mat_add, mat_scale, twist
+from ybforge.exactla import Mat
 from ybforge.paramgrid import GridResult, default_grid
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
-from ybforge.ybcore import LinOp2, twist, yb_vanishes, yb_vanishes_expanded
+from ybforge.ybcore import LinOp2, yb_vanishes, yb_vanishes_expanded
 
 TGRID = default_grid(7, nonzero=True)
 CGRID = default_grid(4)

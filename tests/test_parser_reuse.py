@@ -5,8 +5,8 @@ A reused parser must keep nothing from one call to the next.  Each case
 below runs first in a fresh `python -m ybforge.cli` process; then all of
 them run in one process in a shuffled order, and each must give the same
 exit status, stdout and stderr.  Cases that must follow one another (a
-positional left at its default after one that set it, an environment grid
-and then an explicit one) stay together in one group.
+positional left at its default after one that set it, one grid size and
+then another) stay together in one group.
 """
 import io
 import json
@@ -35,8 +35,8 @@ NON_YB_OP = json.dumps(linop2_to_json(r_algebra(DUAL2, 2, 1, 3)))
 COLORED = ["ybe", "colored", "--algebra", "dual2", "--p", "2", "--q", "3"]
 
 
-def case(*argv, env=None, stdin=""):
-    return (list(argv), env or {}, stdin)
+def case(*argv, stdin=""):
+    return (list(argv), stdin)
 
 
 GROUPS = [
@@ -53,7 +53,7 @@ GROUPS = [
     [case("examples", "emit", "dual2"), case("examples", "list")],
     [case("ybe", "verify", "-", stdin=YB_OP),
      case("ybe", "verify", "--braid", "--json", stdin=NON_YB_OP)],
-    [case(*COLORED, env={"YBFORGE_GRID": "5"}), case(*COLORED, "--grid", "4")],
+    [case(*COLORED, "--grid", "5"), case(*COLORED, "--grid", "4")],
     [case("ybe", "oneparam", "--algebra", "dual2", "--q", "1")],
     [case("ybe", "jordan-restricted", "--algebra", "sym2jordan",
           "--alpha", "1", "--beta", "1", "--gamma", "1")],
@@ -64,29 +64,24 @@ CASES = [c for group in GROUPS for c in group]
 
 
 def base_env():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("YBFORGE_")}
     # help text wraps at the terminal width, which argparse reads from COLUMNS
-    env.update(PYTHONPATH=SRC, COLUMNS="80")
-    return env
+    return dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
 
 
 @pytest.fixture(scope="module")
 def fresh():
     """(exit status, stdout, stderr) of each case in its own process."""
     got = []
-    for argv, env, stdin in CASES:
+    for argv, stdin in CASES:
         proc = subprocess.run([sys.executable, "-m", "ybforge.cli"] + argv,
                               input=stdin, capture_output=True, text=True,
-                              env=dict(base_env(), **env), timeout=120)
+                              env=base_env(), timeout=120)
         got.append((proc.returncode, proc.stdout, proc.stderr))
     return dict(zip(map(repr, CASES), got))
 
 
-def run_here(capsys, monkeypatch, argv, env, stdin):
-    monkeypatch.delenv("YBFORGE_GRID", raising=False)
+def run_here(capsys, monkeypatch, argv, stdin):
     monkeypatch.setenv("COLUMNS", "80")
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     try:
         code = main(list(argv))

@@ -13,14 +13,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ybforge.constructions import r_algebra
-from _dense import mat_apply, mat_sub, yb_commutator
-from ybforge.exactla import (Mat, first_mismatch, kron, mat_from_rows,
-                             mat_identity, mat_mul)
+from _dense import mat_apply, mat_identity, mat_sub, twist, yb_commutator
+from ybforge.exactla import Mat, first_mismatch, kron, mat_from_rows, mat_mul
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
 from ybforge.ybcore import (LinOp2, braid_check, braid_witness, lift,
-                            qybe_check, qybe_witness, restricted_braid_check,
-                            twist)
+                            qybe_check, qybe_witness, restricted_braid_check)
 
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None,
                   database=None)

@@ -13,9 +13,9 @@ from ybforge.structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                                 center_contains, check_algebra_props,
                                 coalgebra_props, dualize, dualize_co,
                                 group_elements, jordan_co_check, mul_vec,
-                                theorem21_instance, theorem21_verdict,
-                                theorem22_instance, thm22_conditions,
-                                validate_colorlie)
+                                structure_to_json, theorem21_instance,
+                                theorem21_verdict, theorem22_instance,
+                                thm22_conditions, validate_colorlie)
 
 
 # property table: (name, commutative, associative, unital, jordan)
@@ -71,6 +71,17 @@ def test_unit_validation():
     assert not check_algebra_props(registry.build("t21(1,1)")).unital
 
 
+def test_inline_registry_arguments():
+    dual2 = structure_to_json(registry.build("dual2"))
+    for ref in ("dual2()", "dual2( )"):
+        assert structure_to_json(registry.build(ref)) == dual2
+    assert (structure_to_json(registry.build("t21( 1,0 )"))
+            == structure_to_json(registry.build("t21", 1, 0)))
+    for ref in ("t21(,1,0)", "t21(1, ,0)"):
+        with pytest.raises(ValueError, match="empty argument"):
+            registry.build(ref)
+
+
 def test_theorem22_beta_sweep():
     for beta in (-3, -2, -1, 1, 2, 3):
         rep = coalgebra_props(theorem22_instance(beta))
@@ -86,6 +97,15 @@ def test_thm22_conditions():
     assert not thm22_conditions(c, [1, 0], [1, 1])
     with pytest.raises(PreconditionError):
         thm22_conditions(c, [1, 1], [2, 2])
+    with pytest.raises(PreconditionError):
+        thm22_conditions(c, [0, 0], [0, 1])
+
+
+@pytest.mark.parametrize("eps, zeta", [([1, 0, 5], [0, 1, 7]), ([1], [0]),
+                                       ([1, 0], [0, 1, 0])])
+def test_thm22_conditions_refuses_covectors_of_the_wrong_length(eps, zeta):
+    with pytest.raises(ValueError, match="covectors must have 2 entries"):
+        thm22_conditions(theorem22_instance(-1), eps, zeta)
 
 
 def test_jordan_co_modes():

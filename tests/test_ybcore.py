@@ -10,12 +10,13 @@ import pytest
 
 from ybforge import registry
 from ybforge.constructions import r_algebra
-from _dense import identity2, mat_apply, mat_is_zero, yb_commutator
-from ybforge.exactla import Mat, mat_from_rows, mat_identity
+from _dense import (compose, identity2, mat_apply, mat_identity, mat_is_zero,
+                    twist, yb_commutator)
+from ybforge.exactla import Mat, mat_from_rows
 from ybforge.ybcore import (LinOp2, LinOp3, braid_check, braid_qybe_equiv,
-                            braid_witness, compose, is_yb_operator, lift,
+                            braid_witness, is_yb_operator, lift,
                             linop2_from_json, linop2_to_json, qybe_check,
-                            qybe_witness, restricted_braid_check, twist,
+                            qybe_witness, restricted_braid_check, with_twist,
                             wxz_check)
 
 DUAL2 = registry.build("dual2")
@@ -125,6 +126,22 @@ def test_braid_qybe_equivalence_frozen_and_random():
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                  for _ in range(4)] for _ in range(4)]
         assert braid_qybe_equiv(LinOp2(2, mat_from_rows(rows)))
+
+
+def test_with_twist_equals_the_dense_composite():
+    rng = random.Random(22)
+    for n in (1, 2, 3, 4):
+        t = twist(n)
+        for _ in range(5):
+            # most entries zero, denominators up to 6
+            rows = [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))),
+                              rng.randint(1, 6))
+                     for _ in range(n * n)] for _ in range(n * n)]
+            r = LinOp2(n, mat_from_rows(rows))
+            assert with_twist(r) == compose(r, t)
+            assert with_twist(r, left=True) == compose(t, r)
+            assert with_twist(with_twist(r), left=True) == compose(
+                t, compose(r, t))
 
 
 def test_yb_commutator_zero_iff_qybe():
