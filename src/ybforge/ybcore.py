@@ -5,17 +5,37 @@ Index convention everywhere: e_i (x) e_j sits at coordinate i*n + j, and
 e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.
 
 Every identity on V(x)3 is decided by slot action through one kernel,
-`_push`: it pushes (monomial, sparse vector) terms through a word's
-factors, each a list of (monomial, slot view) pieces, so R12 = R(x)I,
-R23 = I(x)R and R13 = (I(x)tau)(R(x)I)(I(x)tau) are never formed as
-n^3 x n^3 matrices.  A plain operator is one piece at monomial 0; a factor
-polynomial in parameters (`yb_vanishes_expanded`) has one piece per
-monomial, and the pieces of one factor share one denominator.  Each check
-pushes the basis vectors e_c (the restricted braid check: its spanning
-vectors, scaled to integers) through both words of an identity, which hold
-the same factors, so comparing numerators is exact.  A verdict stops at the
-first column that differs; a witness is the row-major first mismatch of the
-dense difference (smallest output index, then smallest input column).
+`_push`: it pushes sparse vectors of integer numerators through a word's
+factors, each a slot view, so R12 = R(x)I, R23 = I(x)R and
+R13 = (I(x)tau)(R(x)I)(I(x)tau) are never formed as n^3 x n^3 matrices.
+Each check pushes the basis vectors e_c (the restricted braid check: its
+spanning vectors, scaled to integers) through both words of an identity,
+which hold the same factors, so comparing numerators is exact.  A verdict
+stops at the first column that differs; a witness is the row-major first
+mismatch of the dense difference (smallest output index, then smallest
+input column).
+
+A factor polynomial in parameters (`yb_vanishes_expanded`) is packed into
+one operator by Kronecker substitution: its numerators are
+sum_m num_m * 2^(B e(m)), where e(m) reads the exponents as digits in a base
+that no product of three factors carries over, and B = bit_length(2C) for C
+a bound on every coefficient of either word.  A packed difference is then
+zero only when every coefficient is.
+
+The braid equation and the QYBE of one operator R (`braid_check`,
+`braid_witness`, `qybe_check`, `qybe_witness`) push fewer columns.  If a
+permutation g of V's basis has (g(x)g) R = R (g(x)g), then g(x)g also
+commutes with tau, hence g(x)g(x)g commutes with R12, R23 and R13, and the
+difference D of the two words has D(g e_c) = g D(e_c): D vanishes on an
+orbit of columns once it vanishes on one of them.  Such permutations are
+found by colour refinement and a backtracking search with a node budget,
+each checked on every nonzero entry of R, and kept on the operator.  The
+checks push the e_0 slab (columns c < n^2) first, as the plain scan does;
+only when the whole slab agrees do they search, then push the least column
+of each orbit that lies past the slab.  A witness that meets a difference
+there goes on with the plain row-major scan from column n^2, so it is the
+one the plain scan finds.  `yb_vanishes`, `wxz_check`, the expanded verdict
+and `_braid_kills` scan every column.
 """
 from collections import namedtuple
 from itertools import chain, compress, repeat
@@ -35,6 +55,7 @@ class LinOp2:
         self.mat = mat
         self._cols = None
         self._views = {}
+        self._perms = None
 
     def __eq__(self, other):
         if not isinstance(other, LinOp2):
@@ -79,7 +100,13 @@ def with_twist(r, left=False):
         out = [num[swap[row] * nn + c] for row in range(nn) for c in range(nn)]
     else:
         out = [num[row * nn + swap[c]] for row in range(nn) for c in range(nn)]
-    return LinOp2(n, Mat(nn, nn, out, r.mat.den))
+    out = LinOp2(n, Mat(nn, nn, out, r.mat.den))
+    if r._perms is not None:
+        # tau commutes with every g(x)g, so R's permutations are out's too
+        entries = _entries(out)
+        out._perms = [g for g in r._perms
+                      if _keeps(g, entries.items(), entries)]
+    return out
 
 
 def _nonzero_columns(r):
@@ -123,48 +150,38 @@ def _slot_view(r, pos):
 
 
 def _push(word, starts):
-    """The slot-action kernel: yields {monomial: numerators} of word on each
-    start.  word lists its factors in the order they apply, as (monomial,
-    slot view) pieces with distinct int monomials (a plain operator is one
-    piece at 0).  A start is a sparse vector, or a basis index c, which
-    begins as e_c's placed view columns.  Terms of one monomial are summed;
-    zero entries are dropped only at the end, so plain words compare by ==.
+    """The slot-action kernel: yields the numerators of word on each start,
+    as a sparse vector without zero entries.  word lists the slot views of
+    its factors in the order they apply.  A start is a sparse vector, or a
+    basis index c, which begins as e_c's placed view column.  Zero entries
+    are dropped only at the end, so two words compare by ==.
     """
     first, later = word[0], word[1:]
     for start in starts:
         if type(start) is int:
-            terms = {}
-            for mono, view in first:
-                rest, column = view[start]
-                terms[mono] = {offset + rest: m for offset, m in column}
+            rest, column = first[start]
+            vec = {offset + rest: m for offset, m in column}
             factors = later
         else:
-            terms, factors = {0: start}, word
-        for pieces in factors:
+            vec, factors = start, word
+        for view in factors:
             out = {}
-            for base, vec in terms.items():
-                for mono, view in pieces:
-                    acc = out.setdefault(base + mono, {})
-                    get = acc.get
-                    for idx, x in vec.items():
-                        rest, column = view[idx]
-                        for offset, m in column:
-                            o = offset + rest
-                            acc[o] = get(o, 0) + x * m
-            terms = out
-        out = {}
-        for mono, vec in terms.items():
-            if 0 in vec.values():
-                vec = {o: x for o, x in vec.items() if x}
-            if vec:
-                out[mono] = vec
-        yield out
+            get = out.get
+            for idx, x in vec.items():
+                rest, column = view[idx]
+                for offset, m in column:
+                    o = offset + rest
+                    out[o] = get(o, 0) + x * m
+            vec = out
+        if 0 in vec.values():
+            vec = {o: x for o, x in vec.items() if x}
+        yield vec
 
 
 def act(r, pos, vec):
     """r on slot pair pos (12, 23 or 13) of a sparse vector of integer
     numerators on V(x)3, over one more factor of r.mat.den, without zeros."""
-    return next(_push([((0, _slot_view(r, pos)),)], (vec,))).get(0, {})
+    return next(_push([_slot_view(r, pos)], (vec,)))
 
 
 def lift(r, pos):
@@ -180,7 +197,7 @@ def lift(r, pos):
 
 def _word(*factors):
     """The kernel's word for the factors (op, pos), written left to right."""
-    return [((0, _slot_view(op, pos)),) for op, pos in reversed(factors)]
+    return [_slot_view(op, pos) for op, pos in reversed(factors)]
 
 
 def _words_agree(lhs, rhs, starts):
@@ -188,21 +205,190 @@ def _words_agree(lhs, rhs, starts):
     return all(map(eq, _push(lhs, starts), _push(rhs, starts)))
 
 
-def _words_witness(lhs, rhs, n):
-    """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
-    plain words differ, or None."""
-    best, cols = None, range(n ** 3)
+# --- symmetry of one operator ----------------------------------------------
+
+_SEARCH_NODES = 20000   # backtracking nodes per operator
+
+
+def _entries(r):
+    """{(p, q, i, j): numerator} over the nonzero entries of r, which takes
+    e_i(x)e_j to numerator * e_p(x)e_q plus other terms."""
+    n = r.n
+    return {(row // n, row % n, c // n, c % n): x
+            for c, col in enumerate(_nonzero_columns(r)) for row, x in col}
+
+
+def _keeps(g, items, entries):
+    """True iff g takes each ((p, q, i, j), numerator) of items to an entry
+    of R with the same numerator, R given by its nonzero entries.  Over all
+    of them, that is (g(x)g) R = R (g(x)g)."""
+    get = entries.get
+    return all(get((g[p], g[q], g[i], g[j])) == x
+               for (p, q, i, j), x in items)
+
+
+def _colours(n, entries):
+    """Colour refinement: the stable colouring of V's basis in which each
+    round colours a point by its colour and the multiset of (slot, numerator,
+    colours of the indices) over the entries of R it occurs in.  A
+    permutation that commutes with R keeps every colour."""
+    colour, count = [0] * n, 1
+    while True:
+        keys = [(x, colour[p], colour[q], colour[i], colour[j])
+                for (p, q, i, j), x in entries.items()]
+        rank = {key: 4 * k for k, key in enumerate(sorted(set(keys)))}
+        seen = [[] for _ in range(n)]
+        for (p, q, i, j), key in zip(entries, keys):
+            k = rank[key]
+            seen[p].append(k)
+            seen[q].append(k + 1)
+            seen[i].append(k + 2)
+            seen[j].append(k + 3)
+        sig = [(colour[a], tuple(sorted(seen[a]))) for a in range(n)]
+        ranks = sorted(set(sig))
+        if len(ranks) == count:
+            return colour
+        rank = {s: k for k, s in enumerate(ranks)}
+        colour, count = [rank[s] for s in sig], len(ranks)
+
+
+def _orbit(a, gens):
+    # the points that products of gens take a to
+    orbit, stack = {a}, [a]
+    while stack:
+        b = stack.pop()
+        for g in gens:
+            if g[b] not in orbit:
+                orbit.add(g[b])
+                stack.append(g[b])
+    return orbit
+
+
+def _automorphisms(n, entries):
+    """Verified permutations g of V's basis with (g(x)g) R = R (g(x)g),
+    which generate every such permutation unless the node budget runs out.
+
+    Points are taken cell by cell of the stable colouring.  For each level
+    k, deepest first, the search fixes the first k points and tries to send
+    the next one to each point of its cell outside its orbit under the
+    permutations found so far (a strong generating set, as in Schreier-Sims).
+    Each assignment is pruned on the entries whose indices are all assigned;
+    a complete one is kept only after every entry is checked.  When the
+    budget runs out, the permutations found so far are kept: their orbits
+    are exact, only coarser."""
+    colour = _colours(n, entries)
+    cells = {}
+    for a in range(n):
+        cells.setdefault(colour[a], []).append(a)
+    base = sorted(range(n),
+                  key=lambda a: (len(cells[colour[a]]), colour[a], a))
+    place = [0] * n
+    for k, a in enumerate(base):
+        place[a] = k
+    due = [[] for _ in range(n)]    # entries whose last index is base[k]
+    for idx, x in entries.items():
+        p, q, i, j = idx
+        due[max(place[p], place[q], place[i], place[j])].append((idx, x))
+    nodes = 0
+
+    def extend(g, used, k):
+        nonlocal nodes
+        if k == n:
+            return list(g)
+        a = base[k]
+        for b in cells[colour[a]]:
+            if b in used:
+                continue
+            nodes += 1
+            if nodes > _SEARCH_NODES:
+                return None
+            g[a] = b
+            if _keeps(g, due[k], entries):
+                used.add(b)
+                found = extend(g, used, k + 1)
+                used.discard(b)
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    for k in reversed(range(n)):
+        a = base[k]
+        orbit = _orbit(a, gens)
+        for b in cells[colour[a]]:
+            if b in orbit or place[b] < k:
+                continue
+            g = list(range(n))
+            g[a] = b
+            found = (extend(g, set(base[:k]) | {b}, k + 1)
+                     if _keeps(g, due[k], entries) else None)
+            if nodes > _SEARCH_NODES:
+                return gens
+            if found is not None and _keeps(found, entries.items(), entries):
+                gens.append(found)
+                orbit = _orbit(a, gens)
+    return gens
+
+
+def _symmetry(r):
+    """r's verified permutations, found once and kept on the operator."""
+    if r._perms is None:
+        r._perms = _automorphisms(r.n, _entries(r))
+    return r._perms
+
+
+def _late_columns(r):
+    """The basis columns e_c, c >= n^2, that are the least of their orbit
+    under r's permutations acting as g(x)g(x)g on V(x)3, in order."""
+    n = r.n
+    n2, n3 = n * n, n ** 3
+    gens = [[(a * n + b) * n + c for a in g for b in g for c in g]
+            for g in _symmetry(r)]
+    if not gens:
+        return range(n2, n3)
+    seen, late = set(), []
+    for c in range(n3):
+        if c not in seen:
+            seen |= _orbit(c, gens)
+            if c >= n2:
+                late.append(c)
+    return late
+
+
+def _single_agree(r, lhs, rhs):
+    """Both words of an identity in r alone on every column: the e_0 slab
+    first, then one column per orbit of r's permutations."""
+    return (_words_agree(lhs, rhs, range(r.n ** 2))
+            and _words_agree(lhs, rhs, _late_columns(r)))
+
+
+def _first_mismatch(lhs, rhs, cols, best=None):
+    # (row, column) of the row-major first entry where the words differ,
+    # over best and the columns cols, scanned in order
+    if best is not None and best[0] == 0:
+        return best
     for c, a, b in zip(cols, _push(lhs, cols), _push(rhs, cols)):
         if a != b:
-            a, b = a.get(0, {}), b.get(0, {})
             row = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
             if best is None or row < best[0]:
                 best = (row, c)
                 if row == 0:
                     break
-    if best is None:
+    return best
+
+
+def _single_witness(r, lhs, rhs):
+    """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
+    words of an identity in r alone differ, or None.  The e_0 slab goes
+    first; when it agrees, one column per orbit decides, and on a
+    difference the scan goes on over every later column."""
+    n = r.n
+    n2 = n * n
+    best = _first_mismatch(lhs, rhs, range(n2))
+    if best is None and _words_agree(lhs, rhs, _late_columns(r)):
         return None
-    return tuple((flat // n ** 2, (flat // n) % n, flat % n)
+    best = _first_mismatch(lhs, rhs, range(n2, n ** 3), best)
+    return tuple((flat // n2, (flat // n) % n, flat % n)
                  for flat in (best[1], best[0]))
 
 
@@ -217,21 +403,21 @@ def _yb_words(r, s, t):
 
 
 def braid_check(r):
-    return _words_agree(*_braid_words(r), range(r.n ** 3))
+    return _single_agree(r, *_braid_words(r))
 
 
 def braid_witness(r):
     """None when the braid equation holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _words_witness(*_braid_words(r), r.n)
+    return _single_witness(r, *_braid_words(r))
 
 
 def qybe_check(r):
-    return yb_vanishes(r, r, r)
+    return _single_agree(r, *_yb_words(r, r, r))
 
 
 def qybe_witness(r):
     """None when the QYBE holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _words_witness(*_yb_words(r, r, r), r.n)
+    return _single_witness(r, *_yb_words(r, r, r))
 
 
 def is_yb_operator(r):
@@ -245,7 +431,7 @@ def composes_to_identity(a, b):
     """True iff a b = I on V(x)V: the word (b, a) on slot pair 12 takes each
     e_c(x)e_0 to itself, over the denominator a.mat.den * b.mat.den."""
     starts, den = range(0, a.n ** 3, a.n), a.mat.den * b.mat.den
-    return all(out == {0: {c: den}} for c, out
+    return all(out == {c: den} for c, out
                in zip(starts, _push(_word((a, 12), (b, 12)), starts)))
 
 
@@ -265,28 +451,57 @@ def yb_vanishes(r, s, t):
 def yb_vanishes_expanded(r, s, t):
     """True iff [R,S,T] = 0 for every value of the parameters.
 
-    R, S and T are polynomial in the parameters, each given as a sequence of
-    (monomial, LinOp2) pieces with distinct monomials: the monomial is a
-    tuple of exponents, and the factor is the sum of monomial * operator.
-    The kernel gets each monomial packed into one int, in signed fields wide
-    enough for a product of three factors.  The identity holds iff both
-    words agree on every monomial of every column e_c.  The pieces of one
-    factor must share one denominator (their mat.den), so that the
-    numerators of all words agree in denominator and compare exactly.
+    R, S and T are Laurent polynomials in the parameters, each given as a
+    sequence of (monomial, LinOp2) pieces with distinct monomials: the
+    monomial is a tuple of exponents, and the factor is the sum of monomial
+    * operator.  The pieces of one factor must share one denominator (their
+    mat.den), so that the numerators of all words agree in denominator.
+
+    Each factor is packed into one operator whose numerators are
+    sum_m num_m * 2^(B e(m)) (Kronecker substitution), and both words are
+    pushed through the plain kernel.  e(m) reads the exponents, shifted by
+    the factor's least exponent of each variable, as the digits of one
+    integer in base W = 1 + the largest total degree of one variable over
+    the three factors, so the digits of a product never carry.  Every
+    coefficient of either word is at most C in absolute value, C the
+    product over the factors of the largest column l1 norm of
+    sum_m |num_m| (a slot lift keeps column norms), so every coefficient of
+    their difference is below 2^B for B = bit_length(2C).  If d_k is the
+    lowest nonzero coefficient of the difference at one entry, the packed
+    difference there is 2^(Bk) (d_k + 2^B * rest), which 0 < |d_k| < 2^B
+    keeps nonzero: the packed words agree iff every coefficient does.
     """
-    for pieces in (r, s, t):
+    factors = (r, s, t)
+    for pieces in factors:
         if len({op.mat.den for _m, op in pieces}) != 1:
             raise ValueError("pieces of a factor must share one denominator")
         if len({m for m, _op in pieces}) != len(pieces):
             raise ValueError("monomials of a factor must be distinct")
     n = r[0][1].n
-    if any(op.n != n for pieces in (r, s, t) for _m, op in pieces):
+    if any(op.n != n for pieces in factors for _m, op in pieces):
         raise ValueError("dim mismatch")
-    width = 1 + (3 * max((abs(e) for pieces in (r, s, t) for m, _op in pieces
-                          for e in m), default=0)).bit_length()
-    rhs = [[(sum(e << width * i for i, e in enumerate(m)), _slot_view(op, pos))
-            for m, op in pieces] for pieces, pos in ((r, 12), (s, 13), (t, 23))]
-    return _words_agree(rhs[::-1], rhs, range(n ** 3))
+    nn, nvars = n * n, max(len(m) for pieces in factors for m, _op in pieces)
+    monos = [[tuple(m) + (0,) * (nvars - len(m)) for m, _op in pieces]
+             for pieces in factors]
+    ranges = [[(min(e), max(e)) for e in zip(*ms)] for ms in monos]
+    base = 1 + max((sum(hi - lo for lo, hi in var) for var in zip(*ranges)),
+                   default=0)
+    bound = 1
+    for pieces in factors:
+        norms = [sum(map(abs, entry))
+                 for entry in zip(*(op.mat.num for _m, op in pieces))]
+        bound *= max(sum(norms[c::nn]) for c in range(nn))
+    width = (2 * bound).bit_length()
+    packed = []
+    for pieces, ms, var, pos in zip(factors, monos, ranges, (12, 13, 23)):
+        num = [0] * (nn * nn)
+        for (_m, op), m in zip(pieces, ms):
+            shift = width * sum((e - lo) * base ** v for v, (e, (lo, _hi))
+                                in enumerate(zip(m, var)))
+            num = [x + (y << shift) for x, y in zip(num, op.mat.num)]
+        op = LinOp2(n, Mat(nn, nn, num, pieces[0][1].mat.den, _reduced=True))
+        packed.append(_slot_view(op, pos))
+    return _words_agree(packed[::-1], packed, range(n ** 3))
 
 
 def wxz_check(w, x, z):

@@ -10,8 +10,9 @@ files of the package against them.
 The last section holds dense matrix helpers that the package itself no
 longer calls (the identity, scaling, transpose, entrywise sums and
 differences, zero tests, matrix times vector, the twist tau on V(x)V and
-composition by dense product, dense lifts to slot pairs of V(x)3 and the
-dense commutator [R,S,T]); tests build their references with them.  The
+composition by dense product, dense lifts to slot pairs of V(x)3, the
+row-major first mismatch of two dense matrices and the dense commutator
+[R,S,T]); tests build their references with them.  The
 lifts read r.mat entry by entry, never a slot view of the package.
 """
 import itertools
@@ -309,6 +310,17 @@ def dense_word(*factors):
         lifted = dense_lift(op, pos)
         out = lifted if out is None else mat_mul(out, lifted)
     return out
+
+
+def dense_witness(n, lhs, rhs):
+    """((i,j,k) in, (i,j,k) out) at the row-major first entry where two dense
+    matrices on V(x)3 differ (smallest row, then smallest column), or None."""
+    for row in range(lhs.rows):
+        cols = [c for c in range(lhs.cols) if lhs.entry(row, c) != rhs.entry(row, c)]
+        if cols:
+            return tuple((flat // n ** 2, (flat // n) % n, flat % n)
+                         for flat in (cols[0], row))
+    return None
 
 
 def yb_commutator(r, s, t):

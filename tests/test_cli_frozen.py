@@ -7,7 +7,7 @@ and bad-input cases, `--json`, `-o`, stdin, argparse usage errors and the
 `cli_frozen.json` holds, for each argv, the exit status, stdout, stderr
 and the sha256 of every file the command wrote; each case must reproduce
 it byte for byte.  Every case runs in-process through `cli.main`, in a
-directory of its own inputs, with `COLUMNS=80` and no `YBFORGE_GRID`.
+directory of its own inputs, with `COLUMNS=80`.
 
 The data was generated once, before the command-line wiring was
 simplified, and is regenerated only when output changes on purpose:
@@ -279,15 +279,14 @@ def case_id(case):
 
 @contextlib.contextmanager
 def case_dir(root, stdin):
-    """Run in root with an empty root/out, the given stdin, COLUMNS=80 and
-    no YBFORGE_GRID; restore all of it afterwards."""
+    """Run in root with an empty root/out, the given stdin and COLUMNS=80;
+    restore all of it afterwards."""
     out = root / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
-    saved_env = {k: os.environ.get(k) for k in ("COLUMNS", "YBFORGE_GRID")}
+    saved_columns = os.environ.get("COLUMNS")
     saved_cwd, saved_stdin = os.getcwd(), sys.stdin
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("YBFORGE_GRID", None)
     os.chdir(root)
     sys.stdin = io.StringIO(stdin)
     try:
@@ -295,11 +294,10 @@ def case_dir(root, stdin):
     finally:
         sys.stdin = saved_stdin
         os.chdir(saved_cwd)
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved_columns is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = saved_columns
 
 
 def run_case(root, case):

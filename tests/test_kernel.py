@@ -4,10 +4,14 @@ Random sparse operators with n <= 4 and small integer or rational entries
 come from a seeded hypothesis strategy; the entries -1, 0 and 1 dominate, so
 that sums cancel often.  Each word's kernel output, column by column, must
 equal the dense product of its lifts on slot pairs 12, 13 and 23, with zero
-entries and zero monomials absent.  Pencil words (pieces with monomials)
-are compared with the dense coefficient expansion, `_braid_kills` with the
-dense braid difference on random sparse vectors, and the verdicts and
-witnesses with dense products.
+entries absent.  Pencil words (factors that are sums of monomial * operator)
+go through the kernel with each factor packed into one operator at
+x = 2^width, wide enough that the output unpacks into the coefficient of
+every monomial; those must equal the dense coefficient expansion, with zero
+monomials absent.  `yb_vanishes_expanded`, which packs as tightly as its
+coefficient bound allows, is compared with the dense expansion,
+`_braid_kills` with the dense braid difference on random sparse vectors,
+and the verdicts and witnesses with dense products.
 """
 import itertools
 from fractions import Fraction
@@ -15,8 +19,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense import (dense_lift, dense_word, identity2, mat_add, mat_apply,
-                    mat_identity, mat_sub)
+from _dense import (dense_lift, dense_witness, dense_word, identity2, mat_add,
+                    mat_apply, mat_identity, mat_sub, twist)
 from ybforge.exactla import Mat, kron, mat_from_rows
 from ybforge.ybcore import (LinOp2, _braid_kills, _push, _slot_view, _word,
                             braid_check, braid_witness, qybe_check,
@@ -49,11 +53,9 @@ def kernel_columns(word, n):
     return list(_push(word, range(n ** 3)))
 
 
-def assert_column(out, mat, c, den):
-    """out is {monomial: numerators} for column c of a word whose dense
-    matrix is mat and whose numerators are over den."""
-    vec = out.get(0, {})
-    assert set(out) <= {0}
+def assert_column(vec, mat, c, den):
+    """vec is the numerators of column c of a word whose dense matrix is mat
+    and whose numerators are over den."""
     assert 0 not in vec.values()
     for row in range(mat.rows):
         assert Fraction(vec.get(row, 0), den) == mat.entry(row, c)
@@ -78,7 +80,7 @@ def test_words_that_cancel_to_zero():
     num[0 * 4 + 3] = 1
     nil = LinOp2(2, Mat(4, 4, num))
     assert kernel_columns(_word((nil, 12), (nil, 12)), 2) == [{}] * 8
-    assert kernel_columns(_word((nil, 12)), 2)[6] == {0: {0: 1}}
+    assert kernel_columns(_word((nil, 12)), 2)[6] == {0: 1}
     # columns (0,0) and (0,1) of D both map to e_0(x)e_0 with opposite signs,
     # so D cancels on their sum, in the middle of a longer word
     num = [0] * 16
@@ -87,7 +89,7 @@ def test_words_that_cancel_to_zero():
     ident = identity2(2)
     word = _word((ident, 13), (diff, 12), (ident, 23))
     assert list(_push(word, [{0: 3, 2: 3}, {0: 3, 2: 0}, {}])) == [
-        {}, {0: {0: 3}}, {}]
+        {}, {0: 3}, {}]
     dense = dense_word((ident, 13), (diff, 12), (ident, 23))
     for c, out in enumerate(kernel_columns(word, 2)):
         assert_column(out, dense, c, 1)
@@ -143,6 +145,48 @@ def on_one_denominator(pieces):
                                       den, _reduced=True))) for m, op in pieces]
 
 
+def packed_word(factors):
+    """(word, width): the kernel's word for the pencil factors (pieces, pos),
+    written left to right, with each factor packed into one operator at
+    x = 2^width.  Every coefficient of the word is at most the product of
+    the factors' largest column l1 norms of sum |piece|, so width leaves
+    room for balanced digits."""
+    bound, word = 1, []
+    for pieces, _pos in factors:
+        nn = pieces[0][1].mat.cols
+        norms = [sum(map(abs, e))
+                 for e in zip(*(op.mat.num for _m, op in pieces))]
+        bound *= max(sum(norms[c::nn]) for c in range(nn))
+    width = bound.bit_length() + 1
+    for pieces, pos in reversed(factors):
+        op = pieces[0][1]
+        num = [sum(x << width * m for (m, _op), x in zip(pieces, entry))
+               for entry in zip(*(op.mat.num for _m, op in pieces))]
+        packed = LinOp2(op.n, Mat(op.mat.rows, op.mat.cols, num, op.mat.den,
+                                  _reduced=True))
+        word.append(_slot_view(packed, pos))
+    return word, width
+
+
+def unpacked_columns(word, width, n):
+    """{monomial: numerators} of each column of a packed word, unpacked
+    digit by digit into balanced coefficients."""
+    half, digits = 1 << (width - 1), (1 << width) - 1
+    for vec in kernel_columns(word, n):
+        assert 0 not in vec.values()
+        out = {}
+        for row, x in vec.items():
+            mono = 0
+            while x:
+                coef = x & digits
+                if coef >= half:
+                    coef -= 1 << width
+                if coef:
+                    out.setdefault(mono, {})[row] = coef
+                x, mono = (x - coef) >> width, mono + 1
+        yield out
+
+
 def dense_expansion(factors):
     """{monomial: dense coefficient matrix}, written left to right."""
     groups = {}
@@ -164,10 +208,8 @@ def test_pencil_word_matches_dense_expansion(case):
         d, pieces = on_one_denominator(pieces)
         den *= d
         shared.append((pieces, pos))
-    word = [[(m, _slot_view(op, pos)) for m, op in pieces]
-            for pieces, pos in reversed(shared)]
     groups = dense_expansion(shared)
-    for c, out in enumerate(kernel_columns(word, n)):
+    for c, out in enumerate(unpacked_columns(*packed_word(shared), n)):
         want = {}
         for mono, mat in groups.items():
             col = {row: mat.entry(row, c) * den for row in range(n ** 3)
@@ -182,9 +224,9 @@ def test_pencil_pieces_that_cancel_each_other():
     # expansion holds only the monomials 1 and x^2
     a = LinOp2(2, Mat(4, 4, [(3 * i) % 4 - 1 for i in range(16)]))
     minus = LinOp2(2, Mat(4, 4, [-x for x in identity2(2).mat.num]))
-    word = [[(0, _slot_view(identity2(2), 13)), (1, _slot_view(minus, 13))],
-            [(0, _slot_view(a, 12)), (1, _slot_view(a, 12))]]
-    columns = kernel_columns(word, 2)
+    word, width = packed_word([([(0, a), (1, a)], 12),
+                               ([(0, identity2(2)), (1, minus)], 13)])
+    columns = list(unpacked_columns(word, width, 2))
     assert any(columns)
     for out in columns:
         assert set(out) <= {0, 2}
@@ -222,6 +264,31 @@ def test_expansion_keeps_monomials_apart():
                                     [((0, 0), ident)])
     assert yb_vanishes_expanded([((1, 0), p), ((0, 1), p)],
                                 [((1, 0), p), ((0, 0), p)], [((0, 0), ident)])
+
+
+def test_expansion_at_the_coefficient_bound():
+    # R = x^-2 tau, S = diag(3 x^-1, 0, 1 - x^-1, 0) over e_00, e_01, e_10,
+    # e_11 and T = y^-1 I.  R12 S13 T23 takes e_ijk to s_ik e_jik times
+    # x^-2 y^-1, and T23 S13 R12 to s_jk e_jik, so [R, S, T] is x^-3 y^-1
+    # (4 - x) up to sign where {i, j} = {0, 1} and k = 0, and zero elsewhere.
+    # The coefficient bound C = 1 * 3 * 1 is reached by the first word, and
+    # 4 - x vanishes at x = 4 = 2^bit_length(C): the verdict needs the
+    # packing width bit_length(2C).
+    def diag(*d):
+        return LinOp2(2, Mat(4, 4, [d[i // 4] if i // 4 == i % 4 else 0
+                                    for i in range(16)]))
+
+    tau, ident = twist(2), identity2(2)
+    s_low, s_one = diag(3, 0, -1, 0), diag(0, 0, 1, 0)
+    s = [(0, s_low), (1, s_one)]
+    left = dense_expansion([([(0, tau)], 12), (s, 13), ([(0, ident)], 23)])
+    right = dense_expansion([([(0, ident)], 23), (s, 13), ([(0, tau)], 12)])
+    assert max(abs(x) for mat in left.values() for x in mat.num) == 3
+    assert not expansions_agree(left, right)
+    r, t = [((-2, 0), tau)], [((0, -1), ident)]
+    assert not yb_vanishes_expanded(r, [((-1, 0), s_low), ((0, 0), s_one)], t)
+    # with s_10 = 3 x^-1 = s_00 the two words agree
+    assert yb_vanishes_expanded(r, [((-1, 0), diag(3, 0, 3, 0))], t)
 
 
 def expansions_agree(left, right):
@@ -291,15 +358,6 @@ def test_braid_kills_matches_dense():
 
     check()
     assert seen == {True, False}
-
-
-def dense_witness(n, lhs, rhs):
-    for row in range(lhs.rows):
-        cols = [c for c in range(lhs.cols) if lhs.entry(row, c) != rhs.entry(row, c)]
-        if cols:
-            return tuple((flat // n ** 2, (flat // n) % n, flat % n)
-                         for flat in (cols[0], row))
-    return None
 
 
 @st.composite
