@@ -4,8 +4,9 @@ Every subcommand produces a report: a list of named checks, each with a
 boolean verdict and optional certification flag, witness, and notes.  Exit
 status is 0 when every verdict in the report is true, 1 when at least one
 is false, 2 on bad input (parse errors, unknown names, violated
-preconditions, undersized or oversized grids, unwritable output paths), and
-3 on an internal error, reported as one line without a traceback.
+preconditions, undersized or oversized grids, unwritable output paths,
+results with an integer too long to print), and 3 on an internal error,
+reported as one line without a traceback.
 Informational values that should not flip the exit status are carried in
 notes, not verdicts.  `main(argv)` may be called repeatedly in one process:
 it builds its parser once, on the first call, and looks up each command's
@@ -634,9 +635,16 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except Exception as exc:
+        text = " ".join(str(exc).split())
+        if isinstance(exc, ValueError) and "integer string conversion" in text:
+            # str() refuses an integer past sys.get_int_max_str_digits(); the
+            # inputs were read, so this is an input too large for its result
+            sys.stderr.write("error: a result has an integer of more than %d "
+                             "digits, too long to print\n"
+                             % sys.get_int_max_str_digits())
+            return 2
         # a fault of the program, not of the input: one line, no traceback,
         # and a status that cannot be mistaken for a failed verdict
-        text = " ".join(str(exc).split())
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, text))
         return 3
     if report is None:

@@ -8,12 +8,16 @@ Every identity on V(x)3 is decided by slot action through one kernel,
 `_push`: it pushes sparse vectors of integer numerators through a word's
 factors, each a slot view, so R12 = R(x)I, R23 = I(x)R and
 R13 = (I(x)tau)(R(x)I)(I(x)tau) are never formed as n^3 x n^3 matrices.
-Each check pushes the basis vectors e_c (the restricted braid check: its
+Each check pushes basis vectors e_c (the restricted braid check: its
 spanning vectors, scaled to integers) through both words of an identity,
-which hold the same factors, so comparing numerators is exact.  A verdict
-stops at the first column that differs; a witness is the row-major first
-mismatch of the dense difference (smallest output index, then smallest
-input column).
+which hold the same factors, so comparing numerators is exact.
+
+One rule decides and witnesses every identity: `_first_difference` stops
+at the first start where the two words differ, and a verdict holds when
+there is none.  A witness (`_witness`) is the row-major first mismatch of
+the dense difference (smallest output index, then smallest input column);
+as every column below the first difference c0 agrees, it scans c0 and the
+columns above it, each pushed once.
 
 A factor polynomial in parameters (`yb_vanishes_expanded`) is packed into
 one operator by Kronecker substitution: its numerators are
@@ -23,24 +27,24 @@ a bound on every coefficient of either word.  A packed difference is then
 zero only when every coefficient is.
 
 The braid equation and the QYBE of one operator R (`braid_check`,
-`braid_witness`, `qybe_check`, `qybe_witness`) push fewer columns.  If a
+`braid_witness`, `qybe_check`, `qybe_witness`) read fewer columns.  If a
 permutation g of V's basis has (g(x)g) R = R (g(x)g), then g(x)g also
 commutes with tau, hence g(x)g(x)g commutes with R12, R23 and R13, and the
 difference D of the two words has D(g e_c) = g D(e_c): D vanishes on an
 orbit of columns once it vanishes on one of them.  Such permutations are
 found by colour refinement and a backtracking search with a node budget,
-each checked on every nonzero entry of R, and kept on the operator.  The
-checks push the e_0 slab (columns c < n^2) first, as the plain scan does;
-only when the whole slab agrees do they search, then push the least column
-of each orbit that lies past the slab.  A witness that meets a difference
-there goes on with the plain row-major scan from column n^2, so it is the
-one the plain scan finds.  `yb_vanishes`, `wxz_check`, the expanded verdict
-and `_braid_kills` scan every column.
+each checked on every nonzero entry of R, and kept on the operator.
+`_columns` yields the e_0 slab (columns c < n^2), then the least column of
+each orbit past the slab; the search runs only when the comparison reads
+past the slab, so a difference in the slab costs none.  A column below one
+of them lies in the slab or in an earlier orbit, so the witness rule holds.
+`yb_vanishes`, `wxz_check` and the expanded verdict read every column;
+`_braid_kills` reads its vectors.
 """
 from collections import namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, tee
 from math import gcd, lcm
-from operator import eq, ne
+from operator import ne
 
 from .exactla import Mat, common_den, mat_inverse, rat_pair_from_str
 
@@ -178,19 +182,13 @@ def _push(word, starts):
         yield vec
 
 
-def act(r, pos, vec):
-    """r on slot pair pos (12, 23 or 13) of a sparse vector of integer
-    numerators on V(x)3, over one more factor of r.mat.den, without zeros."""
-    return next(_push([_slot_view(r, pos)], (vec,)))
-
-
 def lift(r, pos):
     """Lift a LinOp2 to slots (1,2), (1,3) or (2,3) of V^(x3) as a dense
-    matrix, column by column through `act`."""
+    matrix, each basis column pushed through `_push`."""
     n3 = r.n ** 3
     num = [0] * (n3 * n3)
-    for c in range(n3):
-        for row, x in act(r, pos, {c: 1}).items():
+    for c, out in enumerate(_push([_slot_view(r, pos)], range(n3))):
+        for row, x in out.items():
             num[row * n3 + c] = x
     return LinOp3(r.n, Mat(n3, n3, num, r.mat.den))
 
@@ -200,9 +198,39 @@ def _word(*factors):
     return [_slot_view(op, pos) for op, pos in reversed(factors)]
 
 
-def _words_agree(lhs, rhs, starts):
-    # the words on every start, up to the first one where they differ
-    return all(map(eq, _push(lhs, starts), _push(rhs, starts)))
+def _first_difference(lhs, rhs, starts):
+    """(start, lhs vector, rhs vector) at the first start where the two
+    words differ, or None.  Both words read the one sequence of starts, which
+    is never read past the start being compared."""
+    each, left, right = tee(starts, 3)
+    for start, a, b in zip(each, _push(lhs, left), _push(rhs, right)):
+        if a != b:
+            return start, a, b
+    return None
+
+
+def _witness(lhs, rhs, cols, n):
+    """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
+    words differ (smallest output index, then smallest input column), or
+    None.  cols increase, and a column below one of them agrees once the
+    columns of cols below it do (`_columns`).  So every column below the
+    first difference c0 in cols agrees, and the scan goes on from c0's
+    vectors over each column above it: a column is pushed at most once."""
+    first = _first_difference(lhs, rhs, cols)
+    if first is None:
+        return None
+    later = range(first[0] + 1, n ** 3)
+    best = None
+    for c, a, b in chain((first,), zip(later, _push(lhs, later),
+                                       _push(rhs, later))):
+        if a != b:
+            row = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            if best is None or row < best[0]:
+                best = (row, c)
+                if row == 0:
+                    break
+    return tuple((flat // (n * n), flat // n % n, flat % n)
+                 for flat in (best[1], best[0]))
 
 
 # --- symmetry of one operator ----------------------------------------------
@@ -355,41 +383,12 @@ def _late_columns(r):
     return late
 
 
-def _single_agree(r, lhs, rhs):
-    """Both words of an identity in r alone on every column: the e_0 slab
-    first, then one column per orbit of r's permutations."""
-    return (_words_agree(lhs, rhs, range(r.n ** 2))
-            and _words_agree(lhs, rhs, _late_columns(r)))
-
-
-def _first_mismatch(lhs, rhs, cols, best=None):
-    # (row, column) of the row-major first entry where the words differ,
-    # over best and the columns cols, scanned in order
-    if best is not None and best[0] == 0:
-        return best
-    for c, a, b in zip(cols, _push(lhs, cols), _push(rhs, cols)):
-        if a != b:
-            row = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-            if best is None or row < best[0]:
-                best = (row, c)
-                if row == 0:
-                    break
-    return best
-
-
-def _single_witness(r, lhs, rhs):
-    """((i,j,k) in, (i,j,k) out) at the row-major first entry where the two
-    words of an identity in r alone differ, or None.  The e_0 slab goes
-    first; when it agrees, one column per orbit decides, and on a
-    difference the scan goes on over every later column."""
-    n = r.n
-    n2 = n * n
-    best = _first_mismatch(lhs, rhs, range(n2))
-    if best is None and _words_agree(lhs, rhs, _late_columns(r)):
-        return None
-    best = _first_mismatch(lhs, rhs, range(n2, n ** 3), best)
-    return tuple((flat // n2, (flat // n) % n, flat % n)
-                 for flat in (best[1], best[0]))
+def _columns(r):
+    """The columns an identity in r alone reads, in order: the e_0 slab
+    (c < n^2), then `_late_columns`, whose search runs only when a consumer
+    reads past the slab."""
+    yield from range(r.n ** 2)
+    yield from _late_columns(r)
 
 
 def _braid_words(r):
@@ -403,21 +402,21 @@ def _yb_words(r, s, t):
 
 
 def braid_check(r):
-    return _single_agree(r, *_braid_words(r))
+    return _first_difference(*_braid_words(r), _columns(r)) is None
 
 
 def braid_witness(r):
     """None when the braid equation holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _single_witness(r, *_braid_words(r))
+    return _witness(*_braid_words(r), _columns(r), r.n)
 
 
 def qybe_check(r):
-    return _single_agree(r, *_yb_words(r, r, r))
+    return _first_difference(*_yb_words(r, r, r), _columns(r)) is None
 
 
 def qybe_witness(r):
     """None when the QYBE holds; else ((i,j,k) in, (i,j,k) out)."""
-    return _single_witness(r, *_yb_words(r, r, r))
+    return _witness(*_yb_words(r, r, r), _columns(r), r.n)
 
 
 def is_yb_operator(r):
@@ -445,7 +444,7 @@ def braid_qybe_equiv(r, braid=None):
 
 def yb_vanishes(r, s, t):
     """True iff [R,S,T] = 0, stopping at the first column that differs."""
-    return _words_agree(*_yb_words(r, s, t), range(r.n ** 3))
+    return _first_difference(*_yb_words(r, s, t), range(r.n ** 3)) is None
 
 
 def yb_vanishes_expanded(r, s, t):
@@ -501,7 +500,7 @@ def yb_vanishes_expanded(r, s, t):
             num = [x + (y << shift) for x, y in zip(num, op.mat.num)]
         op = LinOp2(n, Mat(nn, nn, num, pieces[0][1].mat.den, _reduced=True))
         packed.append(_slot_view(op, pos))
-    return _words_agree(packed[::-1], packed, range(n ** 3))
+    return _first_difference(packed[::-1], packed, range(n ** 3)) is None
 
 
 def wxz_check(w, x, z):
@@ -531,8 +530,7 @@ def restricted_braid_check(r, spanning):
 
 def _braid_kills(r, vecs):
     """True iff both braid words agree on every sparse integer vector."""
-    lhs, rhs = _braid_words(r)
-    return _words_agree(lhs, rhs, vecs)
+    return _first_difference(*_braid_words(r), vecs) is None
 
 
 def linop2_to_json(r):

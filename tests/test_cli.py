@@ -271,6 +271,29 @@ def test_unwritable_output_exits_2(capsys, tmp_path, name):
     assert "cannot write" in err
 
 
+# inputs that parse, with a result holding an integer past the 4,300 digits
+# that str() may print: one error line, exit 2, and no file written
+LONG, SHORT = "7" * 3000, "1/" + "3" * 3000
+OVERSIZED_RESULT = {
+    "build": ["ybe", "build", "rA", "--algebra", "dual2", "--alpha", LONG,
+              "--beta", SHORT, "--gamma", "1", "-o", "{out}"],
+    "form8": ["ybe", "form8", "--algebra", "dual2", "--alpha", LONG,
+              "--beta", SHORT],
+    "phi": ["ybe", "phi", "--lie", "heis3", "--alpha", "1/" + LONG,
+            "--z", "0,0," + SHORT, "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_RESULT))
+def test_oversized_result_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "out.json"
+    argv = [arg.format(out=path) for arg in OVERSIZED_RESULT[name]]
+    code, out, err = run(capsys, *argv)
+    assert_rejected(code, out, err)
+    assert "more than %d digits" % sys.get_int_max_str_digits() in err
+    assert not path.exists()
+
+
 def test_verify_non_ascii_operator_file_exits_2(capsys, tmp_path):
     path = tmp_path / "op.json"
     path.write_bytes('{"kind": "linop2", "n": 1, "mat": [["1"]], '

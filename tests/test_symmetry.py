@@ -19,6 +19,8 @@ the dense products of `_dense`:
 Two exact cases: rA(2,3,2) over the 3x3 matrix algebra (|G| = 6, 81 late
 representatives, 162 of 729 columns pushed per braid word) and over Q^6
 (the symmetric group S_6, with five orbits on V(x)3).
+Costs: a witness past the slab pushes each column at most once per word,
+and the search runs only when a check reads past the slab.
 """
 import itertools
 
@@ -218,10 +220,8 @@ def matrix_algebra(k):
                        unit=[int(a == b) for a, b in names])
 
 
-def test_ra_over_the_3x3_matrices(monkeypatch):
-    r = r_algebra(matrix_algebra(3), 2, 3, 2)
-    assert len(closure(_symmetry(r), 9)) == 6
-    assert len(_late_columns(r)) == 81
+def counted_pushes(monkeypatch):
+    """The list that collects every vector `_push` yields from now on."""
     pushed = []
     push = ybcore._push
 
@@ -231,6 +231,14 @@ def test_ra_over_the_3x3_matrices(monkeypatch):
             yield out
 
     monkeypatch.setattr(ybcore, "_push", counted)
+    return pushed
+
+
+def test_ra_over_the_3x3_matrices(monkeypatch):
+    r = r_algebra(matrix_algebra(3), 2, 3, 2)
+    assert len(closure(_symmetry(r), 9)) == 6
+    assert len(_late_columns(r)) == 81
+    pushed = counted_pushes(monkeypatch)
     assert braid_witness(r) is None
     assert len(pushed) == 2 * 162
 
@@ -249,8 +257,9 @@ def test_ra_over_q6():
     assert braid_check(r) and braid_witness(r) is None
 
 
-def test_twisted_operators_take_the_permutations(monkeypatch):
-    r = r_algebra(matrix_algebra(2), 2, 3, 2)
+def counted_searches(monkeypatch):
+    """The list that collects n for every `_automorphisms` call from now
+    on."""
     searches = []
     search = ybcore._automorphisms
 
@@ -259,6 +268,12 @@ def test_twisted_operators_take_the_permutations(monkeypatch):
         return search(n, entries)
 
     monkeypatch.setattr(ybcore, "_automorphisms", counted)
+    return searches
+
+
+def test_twisted_operators_take_the_permutations(monkeypatch):
+    r = r_algebra(matrix_algebra(2), 2, 3, 2)
+    searches = counted_searches(monkeypatch)
     assert braid_qybe_equiv(r)
     assert searches == [4]
     assert len(closure(r._perms, 4)) == 2
@@ -268,3 +283,49 @@ def test_twisted_operators_take_the_permutations(monkeypatch):
     # dropped by the check on its entries
     r._perms = r._perms + [(1, 0, 2, 3)]
     assert with_twist(r)._perms == r._perms[:-1]
+
+
+def test_a_witness_past_the_slab_pushes_each_column_once(monkeypatch):
+    pushed = counted_pushes(monkeypatch)
+    seen = set()
+
+    @SEEDED
+    @given(late_failures())
+    def check(case):
+        n, entries, flavour = case
+        r = operator(n, entries)
+        braid, qybe = assert_matches_dense(r)
+        for witness, (lhs, rhs) in ((braid_witness, braid),
+                                    (qybe_witness, qybe)):
+            del pushed[:]
+            assert witness(r) == dense_witness(n, lhs, rhs)
+            assert len(pushed) <= 2 * n ** 3
+        seen.add(len(closure(_symmetry(r), n)) > 1)
+
+    check()
+    assert True in seen
+    # the identity on every pair that holds e_0, symmetric under swapping
+    # e_1 and e_2 elsewhere: the QYBE holds on the slab and fails past it
+    entries = {(i, j, i, j): 1 for i in range(3) for j in range(3)
+               if 0 in (i, j)}
+    entries.update({(1, 2, 2, 1): 1, (2, 1, 1, 2): 1,
+                    (1, 1, 1, 2): 2, (2, 2, 2, 1): 2})
+    r = operator(3, entries)
+    qybe = (dense_word((r, 12), (r, 13), (r, 23)),
+            dense_word((r, 23), (r, 13), (r, 12)))
+    del pushed[:]
+    assert qybe_witness(r) == dense_witness(3, *qybe) == ((1, 2, 1), (1, 1, 1))
+    assert closure(r._perms, 3) == {(0, 1, 2), (0, 2, 1)}
+    assert len(pushed) == 2 * 27
+
+
+@pytest.mark.parametrize("params, searches", [((3, 1, 2), 0), ((2, 3, 2), 1)])
+def test_the_column_sequence_stays_lazy(monkeypatch, params, searches):
+    """rA(3,1,2) over M_3 fails both identities in the slab, so no check
+    searches; rA(2,3,2) passes the braid equation, which searches once, and
+    the operator keeps the result."""
+    found = counted_searches(monkeypatch)
+    r = r_algebra(matrix_algebra(3), *params)
+    for check in (braid_check, braid_witness, qybe_check, qybe_witness):
+        check(r)
+    assert len(found) == searches
