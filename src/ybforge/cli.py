@@ -29,7 +29,7 @@ from .constructions import (COLORED_BOUND, ONEPARAM_BOUND,
                             matrix_form8, oneparam_verify, phi_super,
                             r_algebra, r_colored, r_super_colored,
                             thm32_predict, wxz_thm38)
-from .exactla import mat_inverse, rat_from_str, rat_to_str
+from .exactla import rat_from_str, rat_to_str
 from .paramgrid import GridConfigError, default_grid
 from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          PreconditionError, SuperLieSpec,
@@ -37,7 +37,7 @@ from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          dualize_co, jordan_co_check, jordan_w_check,
                          structure_from_json, structure_to_json,
                          validate_colorlie)
-from .ybcore import (braid_check, braid_qybe_equiv, braid_witness,
+from .ybcore import (braid_check, braid_qybe_equiv, braid_witness, invertible,
                      linop2_from_json, linop2_to_json, qybe_witness,
                      wxz_check)
 from . import registry
@@ -364,7 +364,7 @@ def cmd_ybe_verify(args):
             witness = qybe_witness(op)
             report.add("qybe", witness is None, witness=witness)
         elif name == "invertible":
-            report.add("invertible", mat_inverse(op.mat) is not None)
+            report.add("invertible", invertible(op))
         else:
             report.add("braid-qybe-equivalence", braid_qybe_equiv(op, braid))
     return report

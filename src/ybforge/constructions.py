@@ -20,14 +20,14 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
-from .exactla import Mat, common_den, mat_from_rows, to_rat
+from .exactla import common_den, mat_from_rows, to_rat
 from .paramgrid import GridConfigError, GridResult
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
-from .ybcore import (LinOp2, _braid_kills, braid_check, composes_to_identity,
-                     with_twist, yb_vanishes, yb_vanishes_expanded)
+from .ybcore import (_braid_kills, _summed, braid_check,
+                     composes_to_identity, from_entries, with_twist,
+                     yb_vanishes, yb_vanishes_expanded)
 
 
 class NotYangBaxterError(ValueError):
@@ -88,41 +88,39 @@ def _formula_op(A, z, c_ab1, c_1ab, c_swap, c_diag, grading=None):
 
     with e_i e_j read from the integer view A.num/A.den (a product or a
     bracket table) and s = (-1)^{|e_i||e_j|} under a Z2 grading, else 1,
-    as numerators over one denominator, straight into a Mat."""
-    n, nn = A.n, A.n ** 2
+    as entries over one denominator."""
     (ab1, a1b, swap, diag), dc = common_den((c_ab1, c_1ab, c_swap, c_diag))
     zn, dz = common_den(z)
     zs = [(l, x) for l, x in enumerate(zn) if x]
     scale = A.den * dz
-    num = [0] * nn ** 2
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
+    terms = []
+    for i in range(A.n):
+        for j in range(A.n):
             for k, x in A.num[i][j].items():
                 for l, y in zs:
-                    num[(k * n + l) * nn + col] += ab1 * x * y
-                    num[(l * n + k) * nn + col] += a1b * x * y
+                    terms += (((k, l, i, j), ab1 * x * y),
+                              ((l, k, i, j), a1b * x * y))
             s = -scale if grading and grading[i] and grading[j] else scale
-            num[(j * n + i) * nn + col] -= s * swap
-            num[col * nn + col] -= s * diag
-    return LinOp2(n, Mat(nn, nn, num, dc * scale))
+            if swap:
+                terms.append(((j, i, i, j), -s * swap))
+            if diag:
+                terms.append(((i, j, i, j), -s * diag))
+    return from_entries(A.n, _summed(terms), dc * scale)
 
 
 def _common_den(ops):
     """The operators rescaled to one shared denominator, the lcm of theirs."""
-    den = lcm(*(op.mat.den for op in ops))
-    return tuple(LinOp2(op.n, Mat(op.mat.rows, op.mat.cols,
-                                  [x * (den // op.mat.den) for x in op.mat.num],
-                                  den, _reduced=True))
-                 for op in ops)
+    den = lcm(*(op.den for op in ops))
+    return tuple(from_entries(op.n, {key: x * (den // op.den) for key, x
+                                     in op.entries.items()}, den) for op in ops)
 
 
 def _combine(ops, coeffs):
     """sum coeffs[i] * ops[i] for operators over one shared denominator."""
     ints, scale = common_den(coeffs)
-    num = [sum(map(mul, ints, col)) for col in zip(*(op.mat.num for op in ops))]
-    op = ops[0]
-    return LinOp2(op.n, Mat(op.mat.rows, op.mat.cols, num, scale * op.mat.den))
+    entries = _summed((key, c * x) for c, op in zip(ints, ops)
+                      for key, x in op.entries.items())
+    return from_entries(ops[0].n, entries, scale * ops[0].den)
 
 
 def _grid_decide(description, names, grid, bound, certified, pencils, factors):
@@ -182,12 +180,6 @@ def thm32_inverse(A, alpha, beta, gamma):
     return r_algebra(A, 1 / beta, 1 / alpha, 1 / gamma)
 
 
-_FORM8_FIXED = {(0, 1): 0, (0, 2): 0, (0, 3): 0,
-                (1, 0): 0, (1, 2): 0, (1, 3): 0,
-                (2, 0): 0, (2, 3): 0,
-                (3, 1): 0, (3, 2): 0}
-
-
 def matrix_form8(A2, alpha, beta):
     """Match (R_{alpha,beta,alpha} . tau)/beta against the classification
     template [[1,0,0,0],[0,1,0,0],[0,1-q,q,0],[eta,0,0,-q]].
@@ -205,27 +197,22 @@ def matrix_form8(A2, alpha, beta):
     unit = _require_unit(A2)
     if unit != [Fraction(1), Fraction(0)]:
         raise PreconditionError("basis must be ordered (1, x) with 1 the unit")
-    r = r_algebra(A2, alpha, beta, alpha)
-    r_tau = with_twist(r).mat
-    display = mat_from_rows([[r_tau.entry(j, i) / beta for j in range(4)]
-                             for i in range(4)])
+    r_tau = with_twist(r_algebra(A2, alpha, beta, alpha))
+    rows = [[0] * 4 for _ in range(4)]
+    for (p, q, i, j), x in r_tau.entries.items():
+        rows[2 * i + j][2 * p + q] = Fraction(x, r_tau.den) / beta
+    display = mat_from_rows(rows)
     q8 = alpha / beta
-    eta8 = display.entry(3, 0)
-
-    def fail(pos):
-        return Form8Result(False, None, None, display, pos, display.entry(*pos))
-
-    expect = {(0, 0): Fraction(1), (1, 1): Fraction(1), (2, 1): 1 - q8,
-              (2, 2): q8, (3, 3): -q8}
-    for pos, want in _FORM8_FIXED.items():
-        if display.entry(*pos) != want:
-            return fail(pos)
-    for pos, want in expect.items():
-        if display.entry(*pos) != want:
-            return fail(pos)
-    if eta8 not in (0, 1):
-        return fail((3, 0))
-    return Form8Result(True, q8, eta8, display, None, None)
+    # (position, allowed values), in order: a mismatch reports the first
+    template = [(pos, (0,)) for pos in ((0, 1), (0, 2), (0, 3), (1, 0), (1, 2),
+                                        (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))]
+    template += [((0, 0), (1,)), ((1, 1), (1,)), ((2, 1), (1 - q8,)),
+                 ((2, 2), (q8,)), ((3, 3), (-q8,)), ((3, 0), (0, 1))]
+    for pos, allowed in template:
+        value = display.entry(*pos)
+        if value not in allowed:
+            return Form8Result(False, None, None, display, pos, value)
+    return Form8Result(True, q8, display.entry(3, 0), display, None, None)
 
 
 def r_colored(A, p, q):
@@ -359,18 +346,23 @@ def wxz_from_colored(F, s, t):
     return F.evaluator(s, s), F.evaluator(s, t), F.evaluator(t, t)
 
 
-def phi_super(L, z, alpha):
-    """phi(x(x)y) = alpha [x,y](x)z + (-1)^{|x||y|} y(x)x, with its formula
-    inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x.  Their product is checked
-    to be the identity by slot action; for square matrices that makes the
-    formula a two-sided inverse, so a returned pair proves phi invertible."""
+def _require_central(L, z):
+    """z as rationals, once it is checked to be even and central in L."""
     rep = center_contains(L, z)
     if not rep:
         raise PreconditionError(
             "z must be even and central (even=%s, commutes=%s)"
             % (rep.even, rep.commutes))
+    return [to_rat(x) for x in z]
+
+
+def phi_super(L, z, alpha):
+    """phi(x(x)y) = alpha [x,y](x)z + (-1)^{|x||y|} y(x)x, with its formula
+    inverse alpha z(x)[x,y] + (-1)^{|x||y|} y(x)x.  Their product is checked
+    to be the identity by slot action; for square matrices that makes the
+    formula a two-sided inverse, so a returned pair proves phi invertible."""
+    z = _require_central(L, z)
     alpha = to_rat(alpha)
-    z = [to_rat(x) for x in z]
     # the template subtracts its swap term, so c_swap = -1 adds y(x)x
     op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
     inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)
@@ -385,12 +377,7 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
     As printed, the operator depends on u only; reports flag the asymmetry.
     alpha and beta are finite lookup tables, total on the color set.
     """
-    rep = center_contains(L, z)
-    if not rep:
-        raise PreconditionError(
-            "z must be even and central (even=%s, commutes=%s)"
-            % (rep.even, rep.commutes))
-    z = [to_rat(x) for x in z]
+    z = _require_central(L, z)
     colors = tuple(to_rat(c) for c in colors)
     atab = {to_rat(k): to_rat(v) for k, v in alpha_table.items()}
     btab = {to_rat(k): to_rat(v) for k, v in beta_table.items()}

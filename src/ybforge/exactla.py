@@ -3,14 +3,16 @@
 Scalars are arbitrary-precision rationals (fractions.Fraction, aliased Rat).
 A Mat stores one common positive denominator and a flat row-major list of
 integer numerators, canonically reduced.  Equality is exact everywhere;
-there is no tolerance anywhere in this package.  No check multiplies
-matrices: `mat_mul` and `kron`, on the big-integer kernels of `_kernels`,
-are reached from no other module and stay only while perfbench hooks them.
+there is no tolerance anywhere in this package.  No check multiplies or
+inverts matrices: `mat_mul`, `kron` (on the big-integer kernels of
+`_kernels`) and `mat_inverse` are reached from no other module and stay
+only while perfbench hooks them.
 
 One helper, `common_den`, brings rationals to integer numerators over one
 denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
-the rational meant.  One elimination, `gauss_jordan`, serves `mat_inverse`
-([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
+the rational meant.  One elimination, `gauss_jordan`, serves
+`ybcore.invertible` (R's rows), `mat_inverse` ([A | I]), `row_space_basis`
+and `project_onto` ([Gram | rhs]).
 """
 from fractions import Fraction
 from math import gcd, lcm

@@ -4,6 +4,12 @@ braid-type checks.
 Index convention everywhere: e_i (x) e_j sits at coordinate i*n + j, and
 e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.
 
+An operator R on V(x)V (`LinOp2`) is its nonzero entries: `entries` maps
+(p, q, i, j) to the integer numerator of e_p(x)e_q in R(e_i(x)e_j), over one
+positive `den`.  Builders write them through `from_entries` and checks read
+them; `.mat` is a dense view.  Equality is by value, over any denominators.
+`invertible` is a rank test: one elimination of R's rows, no inverse built.
+
 Every identity on V(x)3 is decided by slot action through one kernel,
 `_push`: it pushes sparse vectors of integer numerators through a word's
 factors, each a slot view, so R12 = R(x)I, R23 = I(x)R and
@@ -42,32 +48,59 @@ of them lies in the slab or in an earlier orbit, so the witness rule holds.
 `_braid_kills` reads its vectors.
 """
 from collections import namedtuple
-from itertools import chain, compress, repeat, tee
+from itertools import chain, compress, product, repeat, tee
 from math import gcd, lcm
 from operator import ne
 
-from .exactla import Mat, common_den, mat_inverse, rat_pair_from_str
+from .exactla import Mat, Rat, common_den, gauss_jordan, rat_pair_from_str
 
 
 class LinOp2:
-    """Linear operator on V(x)V as an n^2 x n^2 exact matrix."""
+    """Linear operator on V(x)V as its nonzero entries, read from a Mat."""
 
     def __init__(self, n, mat):
         if mat.rows != n * n or mat.cols != n * n:
             raise ValueError("expected %d x %d matrix" % (n * n, n * n))
-        self.n = n
-        self.mat = mat
-        self._cols = None
-        self._views = {}
-        self._perms = None
+        self._hold(n, {key: x for key, x in zip(product(range(n), repeat=4),
+                                                mat.num) if x}, mat.den)
+
+    def _hold(self, n, entries, den):
+        self.n, self.entries, self.den = n, entries, den
+        self._views, self._perms = {}, None
+        return self
+
+    @property
+    def mat(self):
+        """The dense view: the numerators of entries over den, unreduced."""
+        n, nn = self.n, self.n * self.n
+        num = [0] * (nn * nn)
+        for (p, q, i, j), x in self.entries.items():
+            num[((p * n + q) * n + i) * n + j] = x
+        return Mat(nn, nn, num, self.den, _reduced=True)
 
     def __eq__(self, other):
         if not isinstance(other, LinOp2):
             return NotImplemented
-        return self.n == other.n and self.mat == other.mat
+        a, b = self.entries, other.entries
+        return self.n == other.n and a.keys() == b.keys() and all(
+            x * other.den == b[key] * self.den for key, x in a.items())
 
     def __repr__(self):
         return "LinOp2(n=%d)" % self.n
+
+
+def from_entries(n, entries, den):
+    """The LinOp2 on V(x)V, dim V = n, of the nonzero entries over den > 0."""
+    return LinOp2.__new__(LinOp2)._hold(n, entries, den)
+
+
+def _summed(items):
+    """{key: sum of its values} over (key, value) items, without zeros."""
+    out = {}
+    get = out.get
+    for key, x in items:
+        out[key] = get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
 
 
 class LinOp3:
@@ -97,51 +130,31 @@ class WxzReport(namedtuple("WxzReport", "www zzz wxx xxz")):
 
 def with_twist(r, left=False):
     """tau R when left, else R tau, tau(v(x)w) = w(x)v: composing with tau
-    only relabels the rows or the columns of R."""
-    n, nn, num = r.n, r.n * r.n, r.mat.num
-    swap = [j * n + i for i in range(n) for j in range(n)]
-    if left:
-        out = [num[swap[row] * nn + c] for row in range(nn) for c in range(nn)]
-    else:
-        out = [num[row * nn + swap[c]] for row in range(nn) for c in range(nn)]
-    out = LinOp2(n, Mat(nn, nn, out, r.mat.den))
+    only relabels the keys of R's entries."""
+    entries = {((q, p, i, j) if left else (p, q, j, i)): x
+               for (p, q, i, j), x in r.entries.items()}
+    out = from_entries(r.n, entries, r.den)
     if r._perms is not None:
         # tau commutes with every g(x)g, so R's permutations are out's too
-        entries = _entries(out)
         out._perms = [g for g in r._perms
                       if _keeps(g, entries.items(), entries)]
     return out
 
 
-def _nonzero_columns(r):
-    # [(row, numerator), ...] over the nonzero entries of each column of
-    # r.mat, found by one scan of the numerators and kept on the operator
-    cols = r._cols
-    if cols is None:
-        nn = r.n * r.n
-        num = r.mat.num
-        cols = [[] for _ in range(nn)]
-        for idx in compress(range(len(num)), num):
-            row, c = divmod(idx, nn)
-            cols[c].append((row, num[idx]))
-        r._cols = cols
-    return cols
-
-
 def _slot_view(r, pos):
     # Sparse view of r on slot pair pos, built once per operator from its
-    # nonzero columns: view[idx] = (rest, column) for the basis index idx of
-    # V(x)3, where column lists (offset, numerator) over the column of r that
-    # idx feeds, and offset + rest is the output index.
+    # entries grouped by column: view[idx] = (rest, column) for the basis
+    # index idx of V(x)3, where column lists (offset, numerator) over the
+    # column of r that idx feeds, and offset + rest is the output index.
     view = r._views.get(pos)
     if view is None:
         n, nn = r.n, r.n * r.n
         if pos not in (12, 13, 23):
             raise ValueError("pos must be 12, 13 or 23")
-        place = (range(0, nn * n, n) if pos == 12 else range(nn) if pos == 23
-                 else [i + k for i in range(0, nn * n, nn) for k in range(n)])
-        cols = [[(place[row], m) for row, m in col]
-                for col in _nonzero_columns(r)]
+        sp, sq = (nn, n) if pos == 12 else (n, 1) if pos == 23 else (nn, 1)
+        cols = [[] for _ in range(nn)]
+        for (p, q, i, j), m in r.entries.items():
+            cols[i * n + j].append((p * sp + q * sq, m))
         if pos == 12:
             view = [(k, col) for col in cols for k in range(n)]
         elif pos == 23:
@@ -190,7 +203,7 @@ def lift(r, pos):
     for c, out in enumerate(_push([_slot_view(r, pos)], range(n3))):
         for row, x in out.items():
             num[row * n3 + c] = x
-    return LinOp3(r.n, Mat(n3, n3, num, r.mat.den))
+    return LinOp3(r.n, Mat(n3, n3, num, r.den))
 
 
 def _word(*factors):
@@ -236,14 +249,6 @@ def _witness(lhs, rhs, cols, n):
 # --- symmetry of one operator ----------------------------------------------
 
 _SEARCH_NODES = 20000   # backtracking nodes per operator
-
-
-def _entries(r):
-    """{(p, q, i, j): numerator} over the nonzero entries of r, which takes
-    e_i(x)e_j to numerator * e_p(x)e_q plus other terms."""
-    n = r.n
-    return {(row // n, row % n, c // n, c % n): x
-            for c, col in enumerate(_nonzero_columns(r)) for row, x in col}
 
 
 def _keeps(g, items, entries):
@@ -361,7 +366,7 @@ def _automorphisms(n, entries):
 def _symmetry(r):
     """r's verified permutations, found once and kept on the operator."""
     if r._perms is None:
-        r._perms = _automorphisms(r.n, _entries(r))
+        r._perms = _automorphisms(r.n, r.entries)
     return r._perms
 
 
@@ -421,15 +426,23 @@ def qybe_witness(r):
 
 def is_yb_operator(r):
     """Braid + invertibility; yb = both (the definition of a YB operator)."""
-    braid = braid_check(r)
-    invertible = mat_inverse(r.mat) is not None
-    return YbReport(braid, invertible, braid and invertible)
+    braid, full_rank = braid_check(r), invertible(r)
+    return YbReport(braid, full_rank, braid and full_rank)
+
+
+def invertible(r):
+    """True iff R has full rank (`exactla.gauss_jordan` on its rows)."""
+    n, nn = r.n, r.n * r.n
+    rows = [[Rat(0)] * nn for _ in range(nn)]
+    for (p, q, i, j), x in r.entries.items():
+        rows[p * n + q][i * n + j] = Rat(x)
+    return gauss_jordan(rows, nn, full_rank=True) is not None
 
 
 def composes_to_identity(a, b):
     """True iff a b = I on V(x)V: the word (b, a) on slot pair 12 takes each
-    e_c(x)e_0 to itself, over the denominator a.mat.den * b.mat.den."""
-    starts, den = range(0, a.n ** 3, a.n), a.mat.den * b.mat.den
+    e_c(x)e_0 to itself, over the denominator a.den * b.den."""
+    starts, den = range(0, a.n ** 3, a.n), a.den * b.den
     return all(out == {c: den} for c, out
                in zip(starts, _push(_word((a, 12), (b, 12)), starts)))
 
@@ -454,7 +467,7 @@ def yb_vanishes_expanded(r, s, t):
     sequence of (monomial, LinOp2) pieces with distinct monomials: the
     monomial is a tuple of exponents, and the factor is the sum of monomial
     * operator.  The pieces of one factor must share one denominator (their
-    mat.den), so that the numerators of all words agree in denominator.
+    den), so that the numerators of all words agree in denominator.
 
     Each factor is packed into one operator whose numerators are
     sum_m num_m * 2^(B e(m)) (Kronecker substitution), and both words are
@@ -472,14 +485,14 @@ def yb_vanishes_expanded(r, s, t):
     """
     factors = (r, s, t)
     for pieces in factors:
-        if len({op.mat.den for _m, op in pieces}) != 1:
+        if len({op.den for _m, op in pieces}) != 1:
             raise ValueError("pieces of a factor must share one denominator")
         if len({m for m, _op in pieces}) != len(pieces):
             raise ValueError("monomials of a factor must be distinct")
     n = r[0][1].n
     if any(op.n != n for pieces in factors for _m, op in pieces):
         raise ValueError("dim mismatch")
-    nn, nvars = n * n, max(len(m) for pieces in factors for m, _op in pieces)
+    nvars = max(len(m) for pieces in factors for m, _op in pieces)
     monos = [[tuple(m) + (0,) * (nvars - len(m)) for m, _op in pieces]
              for pieces in factors]
     ranges = [[(min(e), max(e)) for e in zip(*ms)] for ms in monos]
@@ -487,19 +500,18 @@ def yb_vanishes_expanded(r, s, t):
                    default=0)
     bound = 1
     for pieces in factors:
-        norms = [sum(map(abs, entry))
-                 for entry in zip(*(op.mat.num for _m, op in pieces))]
-        bound *= max(sum(norms[c::nn]) for c in range(nn))
+        norms = _summed(((i, j), abs(x)) for _m, op in pieces
+                        for (_p, _q, i, j), x in op.entries.items())
+        bound *= max(norms.values(), default=0)
     width = (2 * bound).bit_length()
     packed = []
     for pieces, ms, var, pos in zip(factors, monos, ranges, (12, 13, 23)):
-        num = [0] * (nn * nn)
-        for (_m, op), m in zip(pieces, ms):
-            shift = width * sum((e - lo) * base ** v for v, (e, (lo, _hi))
-                                in enumerate(zip(m, var)))
-            num = [x + (y << shift) for x, y in zip(num, op.mat.num)]
-        op = LinOp2(n, Mat(nn, nn, num, pieces[0][1].mat.den, _reduced=True))
-        packed.append(_slot_view(op, pos))
+        shifts = [width * sum((e - lo) * base ** v for v, (e, (lo, _hi))
+                              in enumerate(zip(m, var))) for m in ms]
+        entries = _summed((key, x << shift) for shift, (_m, op) in
+                          zip(shifts, pieces) for key, x in op.entries.items())
+        packed.append(_slot_view(from_entries(n, entries, pieces[0][1].den),
+                                 pos))
     return _first_difference(packed[::-1], packed, range(n ** 3)) is None
 
 
@@ -535,19 +547,18 @@ def _braid_kills(r, vecs):
 
 def linop2_to_json(r):
     """Each entry in rat_to_str's form; only the nonzero ones are formatted."""
-    den, nn = r.mat.den, r.mat.cols
+    n, den, nn = r.n, r.den, r.n * r.n
     rows = [["0"] * nn for _ in range(nn)]
-    for c, col in enumerate(_nonzero_columns(r)):
-        for row, x in col:
-            g = gcd(x, den)
-            rows[row][c] = (str(x // g) if g == den
-                            else "%d/%d" % (x // g, den // g))
-    return {"kind": "linop2", "n": r.n, "mat": rows}
+    for (p, q, i, j), x in r.entries.items():
+        g = gcd(x, den)
+        rows[p * n + q][i * n + j] = (str(x // g) if g == den
+                                      else "%d/%d" % (x // g, den // g))
+    return {"kind": "linop2", "n": n, "mat": rows}
 
 
 def linop2_from_json(obj):
     """Entries in any form rat_from_str accepts; only those other than the
-    string "0", found in one scan, are parsed."""
+    string "0", found in one scan, are parsed, and the nonzero ones kept."""
     if not isinstance(obj, dict) or obj.get("kind") != "linop2":
         raise ValueError("not a linop2 object")
     n = obj["n"]
@@ -561,10 +572,9 @@ def linop2_from_json(obj):
             raise ValueError("each row of mat must be a list of %d entries"
                              % (n * n))
     flat = list(chain.from_iterable(mat))
-    where = list(compress(range(len(flat)), map(ne, flat, repeat("0"))))
-    pq = [rat_pair_from_str(flat[i]) for i in where]
-    den = lcm(*[q for _p, q in pq])
-    num = [0] * len(flat)
-    for i, (p, q) in zip(where, pq):
-        num[i] = p * (den // q)
-    return LinOp2(n, Mat(n * n, n * n, num, den))
+    keep = list(map(ne, flat, repeat("0")))
+    pq = [rat_pair_from_str(x) for x in compress(flat, keep)]
+    den = lcm(*[q for p, q in pq if p])
+    keys = compress(product(range(n), repeat=4), keep)
+    return from_entries(n, {key: p * (den // q)
+                            for key, (p, q) in zip(keys, pq) if p}, den)

@@ -1,11 +1,14 @@
-"""No check of the package multiplies dense matrices.
+"""No check of the package multiplies or inverts dense matrices, or reads
+an operator's dense form.
 
-Composing with the twist relabels rows or columns (`ybcore.with_twist`),
-and phi's closed-form inverse is checked by slot action
-(`ybcore.composes_to_identity`).  `exactla.mat_mul`, `exactla.kron` and the
-kernels of `_kernels` stay only while perfbench hooks them.  Here the
-kernels raise while the commands that used to reach them run, and no other
-module names them.
+Composing with the twist relabels the keys of an operator's entries
+(`ybcore.with_twist`), phi's closed-form inverse is checked by slot action
+(`ybcore.composes_to_identity`), and invertibility is a rank test on the
+entries (`ybcore.invertible`).  `exactla.mat_mul`, `exactla.kron`,
+`exactla.mat_inverse` and the kernels of `_kernels` stay only while
+perfbench hooks them.  Here the kernels and the dense view `LinOp2.mat`
+raise while the commands run, every exit status stays as it was, and no
+module but `exactla` names them.
 """
 import ast
 import json
@@ -17,11 +20,11 @@ import ybforge
 from ybforge import _kernels, registry
 from ybforge.cli import main
 from ybforge.constructions import r_algebra
-from ybforge.ybcore import linop2_to_json
+from ybforge.ybcore import LinOp2, linop2_to_json
 
 SRC = pathlib.Path(ybforge.__file__).parent
 DENSE_NAMES = {"mat_mul", "kron", "compose", "twist", "_kernels",
-               "matmul_pure", "kron_pure"}
+               "matmul_pure", "kron_pure", "mat_inverse"}
 
 LIE = ["--alpha-table", "0=1,1=2,2=3", "--beta-table", "0=1,1=1,2=1"]
 # (argv, exit status); {name} is an operator file written by the test
@@ -37,11 +40,27 @@ CASES = [
     (["ybe", "verify", "{mat2}", "--equivalence", "--invertible"], 0),
     (["ybe", "super-colored", "--lie", "heis3"] + LIE, 0),
     (["ybe", "super-colored", "--lie", "gl11"] + LIE, 1),
+    (["ybe", "build", "rA", "--algebra", "mat2", "--alpha", "2", "--beta",
+      "3", "--gamma", "2", "-o", "{out}"], 0),
+    (["ybe", "verify", "{yb}", "--braid", "--qybe", "--equivalence",
+      "--invertible"], 1),
+    (["ybe", "verify", "{mat2}", "--braid", "--invertible"], 0),
+    (["ybe", "oneparam", "--algebra", "dual2", "--q", "2"], 0),
+    (["ybe", "oneparam", "--algebra", "sym2jordan", "--q", "2"], 1),
+    (["ybe", "colored", "--algebra", "dual2", "--p", "1", "--q", "2"], 0),
+    (["ybe", "colored", "--algebra", "sym2jordan", "--p", "1", "--q", "2"], 1),
+    (["ybe", "wxz38", "--algebra", "mat2", "--lambda", "2", "--mu", "3"], 0),
+    (["ybe", "wxz38", "--algebra", "sym2jordan", "--lambda", "2", "--mu",
+      "3"], 1),
+    (["ybe", "jordan-restricted", "--algebra", "sym2jordan", "--alpha", "1",
+      "--beta", "2", "--gamma", "1"], 0),
+    (["ybe", "jordan-restricted", "--algebra", "sym2jordan", "--alpha", "1",
+      "--beta", "2", "--gamma", "3"], 1),
 ]
 
 
 def _refuse(*_args):
-    raise AssertionError("dense kernel reached")
+    raise AssertionError("dense kernel or dense operator reached")
 
 
 @pytest.fixture
@@ -64,6 +83,7 @@ def test_commands_reach_no_dense_kernel(monkeypatch, capsys, files, argv,
                                         status):
     monkeypatch.setattr(_kernels, "matmul_pure", _refuse)
     monkeypatch.setattr(_kernels, "kron_pure", _refuse)
+    monkeypatch.setattr(LinOp2, "mat", property(_refuse))
     assert main([arg.format(**files) for arg in argv]) == status
     assert "internal error" not in capsys.readouterr().err
 
