@@ -9,17 +9,18 @@ Verification goes through ybcore (exact identities by slot action).  A
 parameter family is one record, `Family`.  The one-parameter and two-color
 families are linear in their parameters, so they carry their coefficient
 operators and are decided for all parameter values at once by exact
-coefficient expansion (`yb_vanishes_expanded`); the grid only orders the
-search for a witness and, with the degree bound kept here beside each
-family, sets the `certified` flag.  Table-driven colored families are
-decided by exhausting their color set.  Scalar parameters, tables and grid
-points go through `exactla.to_rat`, so a float is a TypeError.
+coefficient expansion (`yb_forms`): a FAIL's witness is the first grid
+point where a coefficient form is nonzero, and the degree bound kept here
+beside each family sets the `certified` flag.  Table-driven colored
+families are decided by exhausting their color set.  Scalar parameters,
+tables and grid points go through `exactla.to_rat`, so a float is a
+TypeError.
 """
 import functools
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .exactla import common_den, mat_from_rows, to_rat
 from .paramgrid import GridConfigError, GridResult
@@ -27,7 +28,7 @@ from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
                          _unit_valid, center_contains, check_algebra_props)
 from .ybcore import (_braid_kills, _summed, braid_check,
                      composes_to_identity, from_entries, with_twist,
-                     yb_vanishes, yb_vanishes_expanded)
+                     yb_forms, yb_vanishes)
 
 
 class NotYangBaxterError(ValueError):
@@ -123,33 +124,56 @@ def _combine(ops, coeffs):
     return from_entries(ops[0].n, entries, scale * ops[0].den)
 
 
-def _grid_decide(description, names, grid, bound, certified, pencils, factors):
+def _grid_decide(description, names, grid, bound, certified, pencils, at):
     """GridResult of [R,S,T] = 0 over the three variables `names`.
 
     pencils: R, S and T as lists of (monomial, operator) pieces over one
-    denominator each, or None.  With pencils the verdict comes from exact
-    expansion (`yb_vanishes_expanded`).  Without them, or on a FAIL, the
-    witness is the first point of grid^3 in product order where
-    (R, S, T) = factors(*point) fails, as a dict over names; with no
-    pencils the verdict is that no grid point fails.  Each distinct triple
-    of operator objects is checked once.
+    denominator each, or None.  With pencils, `yb_forms` expands the
+    identity once: the verdict is that no form remains, and on a FAIL the
+    witness is the first point of grid^3, in product order, where a form is
+    nonzero at the values at(*point) of the pencils' variables.  Without
+    them, at(*point) is (R, S, T) at the point, the witness is the first
+    point where they fail and the verdict that none does; each distinct
+    triple of operator objects is checked once.  A witness is a dict over
+    names.
     """
-    verdict = None if pencils is None else yb_vanishes_expanded(*pencils)
-    witness = None
-    if not verdict:
-        seen = {}   # ids -> (triple, verdict); holding it keeps the ids unique
-        for point in itertools.product(grid, repeat=3):
-            ops = factors(*point)
+    if pencils is not None:
+        forms = yb_forms(*pencils)
+        verdict = not forms
+        # lo <= 0 <= hi, the range of each variable's exponents
+        ranges = [(min(0, *e), max(0, *e))
+                  for e in zip(*(m for form in forms for m in form))]
+
+        def fails(point):
+            return not _vanish_at(forms, ranges, at(*point))
+    else:
+        verdict, seen = None, {}   # holding each triple keeps the ids unique
+
+        def fails(point):
+            ops = at(*point)
             key = tuple(map(id, ops))
             if key not in seen:
                 seen[key] = ops, yb_vanishes(*ops)
-            if not seen[key][1]:
-                witness = dict(zip(names, point))
-                break
+            return not seen[key][1]
+    witness = None if verdict else next(
+        (dict(zip(names, point)) for point in itertools.product(grid, repeat=3)
+         if fails(point)), None)
     if verdict is None:
         verdict = witness is None
     cert = {name: (len(grid), bound) for name in names}
     return GridResult(description, verdict, certified and verdict, witness, cert)
+
+
+def _vanish_at(forms, ranges, values):
+    """True iff every form {exponents: integer} is zero at the rational
+    values of its variables, a negative exponent only where the value is
+    nonzero.  The forms are scaled to integers by prod num^-lo den^hi over
+    the variables, (lo, hi) in ranges the range of their exponents."""
+    powers = [{e: x.numerator ** (e - lo) * x.denominator ** (hi - e)
+               for e in range(lo, hi + 1)}
+              for x, (lo, hi) in zip(values, ranges)]
+    return not any(sum(c * prod(p[e] for p, e in zip(powers, m))
+                       for m, c in form.items()) for form in forms)
 
 
 def r_algebra(A, alpha, beta, gamma):
@@ -260,17 +284,23 @@ def colored_qybe_verify(F, grid):
     else:
         bound = COLORED_BOUND
         certified = len(grid) >= bound + 1
-    pencils = None
-    if F.coefficients is not None:
+    if F.coefficients is None:
+        op = functools.cache(F.evaluator)
+        pencils = None
+
+        def at(u, v, w):
+            return op(u, v), op(u, w), op(v, w)
+    else:
         u, v = F.coefficients
-        # monomials are exponents of (u, v, w)
+        # monomials are exponents of (u, v, w), the values at a point
         pencils = ((((1, 0, 0), u), ((0, 1, 0), v)),     # R12(u, v)
                    (((1, 0, 0), u), ((0, 0, 1), v)),     # R13(u, w)
                    (((0, 1, 0), u), ((0, 0, 1), v)))     # R23(v, w)
-    op = functools.cache(F.evaluator)
+
+        def at(*point):
+            return point
     return _grid_decide("colored QYBE for %s family" % F.tag, ("u", "v", "w"),
-                        grid, bound, certified, pencils,
-                        lambda u, v, w: (op(u, v), op(u, w), op(v, w)))
+                        grid, bound, certified, pencils, at)
 
 
 def s_oneparam(A, q):
@@ -319,12 +349,10 @@ def oneparam_verify(A, q, tgrid):
     pencils = ((((1, 0), p_op), ((0, 0), q_op)),        # S12(x)
                (((1, 1), p_op), ((0, 0), q_op)),        # S13(xy)
                (((0, 1), p_op), ((0, 0), q_op)))        # S23(y)
-    op = functools.cache(fam.evaluator)
     return _grid_decide("one-parameter YBE at q=%s" % q, ("t1", "t2", "t3"),
                         tgrid, ONEPARAM_BOUND,
                         len(tgrid) >= ONEPARAM_BOUND + 1, pencils,
-                        lambda t1, t2, t3: (op(t1 / t2), op(t1 / t3),
-                                            op(t2 / t3)))
+                        lambda t1, t2, t3: (t1 / t2, t2 / t3))
 
 
 def wxz_thm38(A, lam, mu):

@@ -25,12 +25,19 @@ the dense difference (smallest output index, then smallest input column);
 as every column below the first difference c0 agrees, it scans c0 and the
 columns above it, each pushed once.
 
-A factor polynomial in parameters (`yb_vanishes_expanded`) is packed into
-one operator by Kronecker substitution: its numerators are
-sum_m num_m * 2^(B e(m)), where e(m) reads the exponents as digits in a base
-that no product of three factors carries over, and B = bit_length(2C) for C
-a bound on every coefficient of either word.  A packed difference is then
-zero only when every coefficient is.
+A factor polynomial in parameters is packed into one operator by Kronecker
+substitution (`_packed`): its numerators are sum_m num_m * 2^(B e(m)), where
+e(m) reads the exponents, shifted by the factor's least exponent of each
+variable, as the digits of one integer in base W = 1 + the largest total
+degree of one variable over the three factors, so the digits of a product
+never carry.  Every coefficient of either word is at most C in absolute
+value, C the product over the factors of the largest column l1 norm of
+sum_m |num_m| (a slot lift keeps column norms), and B = bit_length(2C), so
+C < 2^(B-1): a word's packed numerator is the one integer whose balanced
+base-2^B digits, each in [-2^(B-1), 2^(B-1)), are its coefficients, and the
+packed words agree iff every coefficient does.  A coefficient of their
+difference can reach 2C >= 2^(B-1), past one balanced digit, so `yb_forms`
+reads each word's numerator on its own and subtracts the digits.
 
 The braid equation and the QYBE of one operator R (`braid_check`,
 `braid_witness`, `qybe_check`, `qybe_witness`) read fewer columns.  If a
@@ -44,7 +51,7 @@ each checked on every nonzero entry of R, and kept on the operator.
 each orbit past the slab; the search runs only when the comparison reads
 past the slab, so a difference in the slab costs none.  A column below one
 of them lies in the slab or in an earlier orbit, so the witness rule holds.
-`yb_vanishes`, `wxz_check` and the expanded verdict read every column;
+`yb_vanishes`, `wxz_check` and `yb_forms` read every column;
 `_braid_kills` reads its vectors.
 """
 from collections import namedtuple
@@ -460,29 +467,11 @@ def yb_vanishes(r, s, t):
     return _first_difference(*_yb_words(r, s, t), range(r.n ** 3)) is None
 
 
-def yb_vanishes_expanded(r, s, t):
-    """True iff [R,S,T] = 0 for every value of the parameters.
-
-    R, S and T are Laurent polynomials in the parameters, each given as a
-    sequence of (monomial, LinOp2) pieces with distinct monomials: the
-    monomial is a tuple of exponents, and the factor is the sum of monomial
-    * operator.  The pieces of one factor must share one denominator (their
-    den), so that the numerators of all words agree in denominator.
-
-    Each factor is packed into one operator whose numerators are
-    sum_m num_m * 2^(B e(m)) (Kronecker substitution), and both words are
-    pushed through the plain kernel.  e(m) reads the exponents, shifted by
-    the factor's least exponent of each variable, as the digits of one
-    integer in base W = 1 + the largest total degree of one variable over
-    the three factors, so the digits of a product never carry.  Every
-    coefficient of either word is at most C in absolute value, C the
-    product over the factors of the largest column l1 norm of
-    sum_m |num_m| (a slot lift keeps column norms), so every coefficient of
-    their difference is below 2^B for B = bit_length(2C).  If d_k is the
-    lowest nonzero coefficient of the difference at one entry, the packed
-    difference there is 2^(Bk) (d_k + 2^B * rest), which 0 < |d_k| < 2^B
-    keeps nonzero: the packed words agree iff every coefficient does.
-    """
+def _packed(r, s, t):
+    """(lhs, rhs, width, places) for pencil factors R, S and T (see
+    `yb_forms`): the two words of [R,S,T], each factor packed into one
+    operator with digits of `width` bits, and for each factor the
+    (digit, exponents) of its pieces."""
     factors = (r, s, t)
     for pieces in factors:
         if len({op.den for _m, op in pieces}) != 1:
@@ -504,15 +493,70 @@ def yb_vanishes_expanded(r, s, t):
                         for (_p, _q, i, j), x in op.entries.items())
         bound *= max(norms.values(), default=0)
     width = (2 * bound).bit_length()
+    # each piece's digit: its exponents, shifted by the factor's least
+    # ones, as the digits of one integer in base `base`
+    places = [[(sum((e - lo) * base ** v for v, (e, (lo, _hi))
+                    in enumerate(zip(m, var))), m) for m in ms]
+              for ms, var in zip(monos, ranges)]
     packed = []
-    for pieces, ms, var, pos in zip(factors, monos, ranges, (12, 13, 23)):
-        shifts = [width * sum((e - lo) * base ** v for v, (e, (lo, _hi))
-                              in enumerate(zip(m, var))) for m in ms]
-        entries = _summed((key, x << shift) for shift, (_m, op) in
-                          zip(shifts, pieces) for key, x in op.entries.items())
+    for pieces, place, pos in zip(factors, places, (12, 13, 23)):
+        entries = _summed((key, x << width * k) for (k, _m), (_e, op) in
+                          zip(place, pieces) for key, x in op.entries.items())
         packed.append(_slot_view(from_entries(n, entries, pieces[0][1].den),
                                  pos))
-    return _first_difference(packed[::-1], packed, range(n ** 3)) is None
+    return packed[::-1], packed, width, places
+
+
+def yb_forms(r, s, t):
+    """A row-reduced basis of the coefficient forms of [R,S,T], each form
+    {exponents: nonzero integer}: [R,S,T] vanishes at a point of the
+    parameters iff every form does, and for every value iff the list is
+    empty.
+
+    R, S and T are Laurent polynomials in the parameters, each a sequence
+    of (monomial, LinOp2) pieces with distinct monomials, tuples of
+    exponents.  The pieces of one factor must share one denominator, so
+    that the numerators of all words agree in denominator.
+
+    One packed pass (module docstring) reads every column, the comparison
+    resuming after each one where the words differ.  Each distinct pair of
+    differing packed numerators is read back word by word in balanced
+    digits, and the digits are subtracted; the forms, each divided by its
+    content, are reduced by `exactla.gauss_jordan` with the monomials in
+    decreasing order."""
+    lhs, rhs, width, places = _packed(r, s, t)
+    n3, c, pairs = r[0][1].n ** 3, 0, set()
+    while (first := _first_difference(lhs, rhs, range(c, n3))) is not None:
+        c, a, b = first
+        for k in a.keys() | b.keys():
+            if a.get(k) != b.get(k):
+                pairs.add((a.get(k, 0), b.get(k, 0)))
+        c += 1
+    if not pairs:
+        return []
+    # the digits a word's numerator can hold, in increasing order, as
+    # (exponents, bits between the digit and the one below it)
+    digits = sorted({(i + j + k, tuple(map(sum, zip(mi, mj, mk))))
+                     for (i, mi), (j, mj), (k, mk) in product(*places)})
+    steps = [(m, width * (k - k0 - 1))
+             for (k0, _m), (k, m) in zip([(-1, None)] + digits, digits)]
+    half, mask, forms = 1 << (width - 1), (1 << width) - 1, set()
+    for x, y in pairs:
+        form = {}
+        for m, skip in steps:
+            # the balanced digit of x is ((x + half) & mask) - half, and
+            # (x + half) >> width is what x leaves above it
+            x, y = (x >> skip) + half, (y >> skip) + half
+            if (d := (x & mask) - (y & mask)):
+                form[m] = d
+            x, y = x >> width, y >> width
+        g = gcd(*form.values()) * (1 if form[max(form)] > 0 else -1)
+        forms.add(tuple((m, d // g) for m, d in form.items()))
+    cols = sorted({m for form in forms for m, _d in form}, reverse=True)
+    rows = [[Rat(form.get(m, 0)) for m in cols] for form in map(dict, forms)]
+    basis = rows[:len(gauss_jordan(rows, len(cols)))]
+    return [{m: x for m, x in zip(cols, common_den(row)[0]) if x}
+            for row in basis]
 
 
 def wxz_check(w, x, z):

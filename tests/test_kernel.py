@@ -8,23 +8,27 @@ entries absent.  Pencil words (factors that are sums of monomial * operator)
 go through the kernel with each factor packed into one operator at
 x = 2^width, wide enough that the output unpacks into the coefficient of
 every monomial; those must equal the dense coefficient expansion, with zero
-monomials absent.  `yb_vanishes_expanded`, which packs as tightly as its
-coefficient bound allows, is compared with the dense expansion,
-`_braid_kills` with the dense braid difference on random sparse vectors,
-and the verdicts and witnesses with dense products.
+monomials absent.  `yb_forms`, which packs as tightly as its coefficient
+bound allows, is compared with the dense expansion: its verdict (no form
+remains) and its forms, which must be the reduced row basis of the dense
+expansion's difference (Laurent monomials, pieces that cancel, and a
+coefficient at the packing bound); `_braid_kills` is compared with the
+dense braid difference on random sparse vectors, and the verdicts and
+witnesses with dense products.
 """
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _dense import (dense_lift, dense_witness, dense_word, identity2, mat_add,
-                    mat_apply, mat_identity, mat_sub, twist)
-from ybforge.exactla import Mat, kron, mat_from_rows
+                    mat_apply, mat_identity, mat_sub, mat_zeros, twist)
+from ybforge.exactla import (Mat, common_den, kron, mat_from_rows,
+                             row_space_basis)
 from ybforge.ybcore import (LinOp2, _braid_kills, _push, _slot_view, _word,
                             braid_check, braid_witness, qybe_check,
-                            qybe_witness, yb_vanishes, yb_vanishes_expanded)
+                            qybe_witness, yb_forms, yb_vanishes)
 
 SEEDED = settings(derandomize=True, max_examples=30, deadline=None,
                   database=None)
@@ -236,17 +240,19 @@ def test_pencil_pieces_that_cancel_each_other():
     r = [((1,), a), ((0,), a)]
     s = [((0,), identity2(2)), ((1,), minus)]
     t = [((0,), identity2(2))]
-    assert yb_vanishes_expanded(r, s, t)
+    assert yb_forms(r, s, t) == []
     # with T = A instead, (1 - x^2) [A, I, A] vanishes iff [A, I, A] does
-    assert (yb_vanishes_expanded(r, s, [((0,), a)])
-            == yb_vanishes(a, identity2(2), a))
+    assert (not yb_forms(r, s, [((0,), a)])) == yb_vanishes(a, identity2(2), a)
 
 
 def test_expansion_refuses_repeated_monomials():
+    # and pieces over two denominators
     ident = identity2(2)
-    with pytest.raises(ValueError):
-        yb_vanishes_expanded([((1,), ident), ((1,), ident)], [((0,), ident)],
-                             [((0,), ident)])
+    thrice = LinOp2(2, Mat(4, 4, [3 * x for x in ident.mat.num], 3,
+                           _reduced=True))
+    for r in ([((1,), ident), ((1,), ident)], [((0,), ident), ((1,), thrice)]):
+        with pytest.raises(ValueError):
+            yb_forms(r, [((0,), ident)], [((0,), ident)])
 
 
 def test_expansion_keeps_monomials_apart():
@@ -259,11 +265,16 @@ def test_expansion_keeps_monomials_apart():
 
     p, q = simple([[0, 1], [0, 0]]), simple([[0, 0], [1, 0]])
     ident = identity2(2)
-    assert not yb_vanishes_expanded([((1, 0), p), ((0, 1), q)],
-                                    [((1, 0), q), ((0, 0), p)],
-                                    [((0, 0), ident)])
-    assert yb_vanishes_expanded([((1, 0), p), ((0, 1), p)],
-                                [((1, 0), p), ((0, 0), p)], [((0, 0), ident)])
+    assert yb_forms([((1, 0), p), ((0, 1), q)], [((1, 0), q), ((0, 0), p)],
+                    [((0, 0), ident)]) == [{(2, 0): 1, (0, 1): -1}]
+    assert yb_forms([((1, 0), p), ((0, 1), p)], [((1, 0), p), ((0, 0), p)],
+                    [((0, 0), ident)]) == []
+
+
+def diag(*d):
+    """The diagonal operator on V(x)V, dim V = 2, with diagonal d."""
+    return LinOp2(2, Mat(4, 4, [d[i // 4] if i // 4 == i % 4 else 0
+                                for i in range(16)]))
 
 
 def test_expansion_at_the_coefficient_bound():
@@ -274,10 +285,6 @@ def test_expansion_at_the_coefficient_bound():
     # The coefficient bound C = 1 * 3 * 1 is reached by the first word, and
     # 4 - x vanishes at x = 4 = 2^bit_length(C): the verdict needs the
     # packing width bit_length(2C).
-    def diag(*d):
-        return LinOp2(2, Mat(4, 4, [d[i // 4] if i // 4 == i % 4 else 0
-                                    for i in range(16)]))
-
     tau, ident = twist(2), identity2(2)
     s_low, s_one = diag(3, 0, -1, 0), diag(0, 0, 1, 0)
     s = [(0, s_low), (1, s_one)]
@@ -286,9 +293,9 @@ def test_expansion_at_the_coefficient_bound():
     assert max(abs(x) for mat in left.values() for x in mat.num) == 3
     assert not expansions_agree(left, right)
     r, t = [((-2, 0), tau)], [((0, -1), ident)]
-    assert not yb_vanishes_expanded(r, [((-1, 0), s_low), ((0, 0), s_one)], t)
+    assert yb_forms(r, [((-1, 0), s_low), ((0, 0), s_one)], t)
     # with s_10 = 3 x^-1 = s_00 the two words agree
-    assert yb_vanishes_expanded(r, [((-1, 0), diag(3, 0, 3, 0))], t)
+    assert yb_forms(r, [((-1, 0), diag(3, 0, 3, 0))], t) == []
 
 
 def expansions_agree(left, right):
@@ -315,11 +322,77 @@ def test_expanded_verdict_matches_dense():
         right = dense_expansion([(t, 23), (s, 13), (r, 12)])
         expect = expansions_agree(left, right)
         r, s, t = ([((m % 16, m // 16), op) for m, op in p] for p in (r, s, t))
-        assert yb_vanishes_expanded(r, s, t) == expect
+        assert (yb_forms(r, s, t) == []) == expect
         seen.add(expect)
 
     check()
     assert seen == {True, False}
+
+
+# --- coefficient forms ------------------------------------------------------
+
+LAURENT = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+@st.composite
+def pencil_triples(draw):
+    """R, S and T, each a pencil of up to three pieces over one denominator,
+    n <= 3, with Laurent monomials in two variables.  As in `pencil_words`,
+    pieces often repeat an operator with the opposite sign."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    ops = [draw(operators(n)) for _ in range(2)]
+    ops += [LinOp2(n, Mat(n * n, n * n, [-x for x in op.mat.num], op.mat.den))
+            for op in ops]
+    return tuple(
+        on_one_denominator([(mono, draw(st.sampled_from(ops))) for mono in
+                            draw(st.lists(st.sampled_from(LAURENT), min_size=1,
+                                          max_size=3, unique=True))])[1]
+        for _ in range(3))
+
+
+def dense_forms(r, s, t):
+    """The reduced basis of the coefficient forms of [R,S,T], in the layout
+    of `yb_forms`, from the dense expansions of its two words.  x^a y^b
+    enters `dense_expansion` as a + 64 b, which adds as the exponents do."""
+    def coded(pieces):
+        return [(a + 64 * b, op) for (a, b), op in pieces]
+
+    def exponents(code):
+        b = (code + 32) // 64
+        return code - 64 * b, b
+
+    left = dense_expansion([(coded(r), 12), (coded(s), 13), (coded(t), 23)])
+    right = dense_expansion([(coded(t), 23), (coded(s), 13), (coded(r), 12)])
+    monos = sorted(left.keys() | right.keys(), key=exponents, reverse=True)
+    n3 = next(iter(left.values())).rows
+    zero = mat_zeros(n3, n3)
+    diffs = [mat_sub(left.get(m, zero), right.get(m, zero)) for m in monos]
+    vecs = {tuple(Fraction(d.num[e], d.den) for d in diffs)
+            for e in range(n3 * n3)}
+    return [{exponents(m): x for m, x in zip(monos, common_den(row)[0]) if x}
+            for row in row_space_basis(list(vecs))]
+
+
+def test_forms_are_the_reduced_dense_expansion():
+    seen = set()
+
+    # the pencils of `test_expansion_at_the_coefficient_bound`, and
+    # R = diag(1, 0, 0, x), S = tau and T = I, whose forms 1 and x come from
+    # the columns e_001 and e_011: [R, S, T] e_ijk = (r_kj - r_ij) e_kji
+    @SEEDED
+    @example(([((0, 0), diag(1, 0, 0, 0)), ((1, 0), diag(0, 0, 0, 1))],
+              [((0, 0), twist(2))], [((0, 0), identity2(2))]))
+    @example(([((-2, 0), twist(2))],
+              [((-1, 0), diag(3, 0, -1, 0)), ((0, 0), diag(0, 0, 1, 0))],
+              [((0, -1), identity2(2))]))
+    @given(pencil_triples())
+    def check(pencils):
+        forms = yb_forms(*pencils)
+        assert forms == dense_forms(*pencils)
+        seen.add(len(forms))
+
+    check()
+    assert {0, 1} < seen
 
 
 # --- braid kills, verdicts and witnesses ------------------------------------

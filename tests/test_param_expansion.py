@@ -7,7 +7,8 @@ operator is built from the family's formula at every grid point and
 parameter) or the 4-point color grid (two colors), in product order, up to
 the first failure.  Inputs are the unital registry algebras (dual2, mat2,
 sym2jordan, split2(m)) and copies of them in a random rational basis, with
-seeded q and (p, q) values.
+seeded q and (p, q) values.  A pencil FAIL must read its witness off the
+coefficient forms, with no grid point checked or built.
 """
 import itertools
 from fractions import Fraction
@@ -24,7 +25,8 @@ from ybforge.exactla import Mat
 from ybforge.paramgrid import GridResult, default_grid
 from ybforge.registry import build
 from ybforge.structures import AlgebraSpec
-from ybforge.ybcore import LinOp2, yb_vanishes, yb_vanishes_expanded
+from ybforge.ybcore import LinOp2, yb_forms, yb_vanishes
+from test_symmetry import counted_pushes
 
 TGRID = default_grid(7, nonzero=True)
 CGRID = default_grid(4)
@@ -206,6 +208,35 @@ def test_pass_evaluates_no_grid_point(monkeypatch):
     assert colored_qybe_verify(r_colored(mat2, 2, 3), CGRID).certified
 
 
+# perfbench's pools of q and (p, q); over sym2jordan every one fails
+SYM2_FAILS = ([("oneparam", (q,)) for q in (2, 3, 4, 5, -2, -3)]
+              + [("colored", pq) for pq in ((2, 3), (3, 5), (-2, 5), (5, -3),
+                                            (2, 7), (3, -4))])
+
+
+@pytest.mark.parametrize("family,values", SYM2_FAILS, ids=[
+    "%s-%s" % (family, ",".join(map(str, values)))
+    for family, values in SYM2_FAILS])
+def test_fail_reads_its_witness_off_the_forms(monkeypatch, family, values):
+    # one packed pass, each column at most once per word, and no grid point
+    # checked or even built
+    def refused(*_args):
+        raise AssertionError("a grid point was checked or built")
+
+    sym = build("sym2jordan")
+    monkeypatch.setattr(constructions, "yb_vanishes", refused)
+    monkeypatch.setattr(constructions, "_combine", refused)
+    pushed = counted_pushes(monkeypatch)
+    if family == "oneparam":
+        res = oneparam_verify(sym, *values, TGRID)
+        witness = {"t1": 1, "t2": 2, "t3": 3}
+    else:
+        res = colored_qybe_verify(r_colored(sym, *values), CGRID)
+        witness = {"u": 0, "v": 1, "w": 2}
+    assert (res.verdict, res.certified, res.witness) == (False, False, witness)
+    assert len(pushed) <= 2 * 3 ** 3
+
+
 def _oneparam_pieces(P, Q):
     # S12(x), S13(xy), S23(y) with S(t) = t P + Q, monomials in (x, y)
     return ([((1, 0), P), ((0, 0), Q)], [((1, 1), P), ((0, 0), Q)],
@@ -216,10 +247,10 @@ def _oneparam_pieces(P, Q):
 def test_dropped_piece_is_caught(name):
     A = build(name)
     P, Q = s_oneparam(A, 2).coefficients
-    assert yb_vanishes_expanded(*_oneparam_pieces(P, Q))
+    assert yb_forms(*_oneparam_pieces(P, Q)) == []
     r, s, t = _oneparam_pieces(P, Q)
     # Q removed from S13 only: S13(xy) becomes xy P
-    assert not yb_vanishes_expanded(r, s[:1], t)
+    assert yb_forms(r, s[:1], t)
     fam = s_oneparam(A, 2)
     assert any(not yb_vanishes(fam(t1 / t2), _scaled(P, t1 / t3), fam(t2 / t3))
                for t1, t2, t3 in itertools.product(TGRID, repeat=3))
@@ -235,7 +266,7 @@ def test_dropped_term_first_failure():
     A, q = build("dual2"), Fraction(2)
     P, Q = constructions._common_den((_formula_op(A, A.unit, q, 0, 1, 0),
                                       _formula_op(A, A.unit, -q, 0, -q, 0)))
-    assert not yb_vanishes_expanded(*_oneparam_pieces(P, Q))
+    assert yb_forms(*_oneparam_pieces(P, Q))
 
     def op(t):
         return constructions._combine((P, Q), (t, 1))
@@ -313,7 +344,7 @@ def test_pieces_of_a_factor_must_share_a_denominator():
                          3 * Q.mat.den, _reduced=True))
     r, s, t = _oneparam_pieces(P, Q)
     with pytest.raises(ValueError):
-        yb_vanishes_expanded(r, [s[0], ((0, 0), q3)], t)
+        yb_forms(r, [s[0], ((0, 0), q3)], t)
 
 
 def grid_super_colored(L, z, atab, btab, colors):
