@@ -25,7 +25,8 @@ from math import lcm, prod
 from .exactla import common_den, mat_from_rows, to_rat
 from .paramgrid import GridConfigError, GridResult
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
-                         _unit_valid, center_contains, check_algebra_props)
+                         _from_store, _unit_valid, center_contains,
+                         check_algebra_props)
 from .ybcore import (_braid_kills, _summed, braid_check,
                      composes_to_identity, from_entries, with_twist,
                      yb_forms, yb_vanishes)
@@ -426,11 +427,12 @@ def r_super_colored(L, z, alpha_table, beta_table, colors):
 
 
 def _adjoin_unit(J):
-    """J+ = k.1 (+) J: formal unit prepended at index 0."""
-    e = [[int(k == i) for k in range(J.n + 1)] for i in range(J.n + 1)]
-    c = [e] + [[e[i + 1]] + [[0] + row for row in plane]
-               for i, plane in enumerate(J.c)]
-    return AlgebraSpec(["1"] + list(J.basis), c, unit=e[0])
+    """J+ = k.1 (+) J: a formal unit at index 0, J's constants one index up."""
+    num = [[{j: J.den} for j in range(J.n + 1)]] + [
+        [{i: J.den}] + [{k + 1: x for k, x in row.items()} for row in plane]
+        for i, plane in enumerate(J.num, 1)]
+    return _from_store(AlgebraSpec, ["1"] + list(J.basis), num, J.den,
+                       unit=[Fraction(1)] + [Fraction(0)] * J.n)
 
 
 def jordan_r_restricted(J, alpha, beta, gamma):

@@ -11,8 +11,9 @@ only while perfbench hooks them.
 One helper, `common_den`, brings rationals to integer numerators over one
 denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
 the rational meant.  One elimination, `gauss_jordan`, serves
-`ybcore.invertible` (R's rows), `mat_inverse` ([A | I]), `row_space_basis`
-and `project_onto` ([Gram | rhs]).
+`ybcore.invertible` (R's rows), `ybcore.yb_forms` (the coefficient forms
+of [R,S,T]), `mat_inverse` ([A | I]), `row_space_basis` and `project_onto`
+([Gram | rhs]).
 """
 from fractions import Fraction
 from math import gcd, lcm

@@ -32,17 +32,17 @@ pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
 with w gives coordinate k of G(w) there, so the dual W relation is the same
 evaluation, and (co)commutativity and (co)associativity transpose likewise.
 
-The `Fraction` tables `c`/`b` are the public form.  Each algebra and bracket
-also carries one integer view, made with `common_den` at construction:
-num[i][j] = {k: numerator of c[i][j][k] over den}.  Every check runs on it;
-each is homogeneous in the constants, so its verdict on the numerators is
-the verdict over Q.  A float in a spec is a TypeError.
+A spec stores only its nonzero constants, num[i][j] = {k: numerator of
+t[i][j][k] over den}, t its dense table and den the lcm of t's denominators.
+Every check runs on them, and each is homogeneous in the constants, so its
+verdict on the numerators is the verdict over Q.  The tables c/b/d are
+read-only `Fraction` views, kept once read.  A float in a spec is a TypeError.
 """
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 
 from .exactla import (common_den, rat_from_str, rat_to_str, row_space_basis,
                       to_rat)
@@ -66,23 +66,44 @@ def _frac_table(table, n, what, parse=to_rat):
             for plane in sized(table)]
 
 
-def _int_view(table):
-    """(num, den): num[i][j] = {k: numerator of table[i][j][k] over den}."""
-    flat, den = common_den([x for plane in table for row in plane for x in row])
-    n = len(table)
-    rows = [{k: x for k, x in enumerate(flat[r:r + n]) if x}
-            for r in range(0, len(flat), n)]
-    return [rows[i:i + n] for i in range(0, n * n, n)], den
+def _store(table, n, what):
+    """(num, den) of a dense n^3 table (see the module doc)."""
+    t = _frac_table(table, n, what)
+    den = lcm(*(x.denominator for plane in t for row in plane for x in row))
+    return [[{k: x.numerator * (den // x.denominator) for k, x in enumerate(row)
+              if x} for row in plane] for plane in t], den
+
+
+def _from_store(cls, basis, num, den, **attrs):
+    """A cls on checked constants, nothing parsed."""
+    S = cls.__new__(cls)
+    vars(S).update(n=len(basis), basis=list(basis), num=num, den=den, **attrs)
+    return S
+
+
+def _view(name):
+    """Read-only `Fraction` table of num/den, built on first read and kept."""
+    def table(S):
+        if name not in vars(S):
+            vars(S)[name] = [[[Fraction(row.get(k, 0), S.den) for k in range(S.n)]
+                              for row in plane] for plane in S.num]
+        return vars(S)[name]
+    return property(table)
+
+
+def _to_int(x):
+    if isinstance(x, float):  # as in to_rat
+        raise TypeError("floats are not accepted as integers, got %r" % x)
+    return int(x)
 
 
 class AlgebraSpec:
     """Finite-dimensional algebra by structure constants; unit optional."""
+    c = _view("c")
 
     def __init__(self, basis, c, unit=None):
-        self.n = len(basis)
-        self.basis = list(basis)
-        self.c = _frac_table(c, self.n, "structure")
-        self.num, self.den = _int_view(self.c)
+        self.n, self.basis = len(basis), list(basis)
+        self.num, self.den = _store(c, self.n, "structure")
         self.unit = [to_rat(x) for x in unit] if unit is not None else None
         if self.unit is not None and len(self.unit) != self.n:
             raise ValueError("unit dim mismatch")
@@ -90,59 +111,55 @@ class AlgebraSpec:
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
             return NotImplemented
-        return (self.basis == other.basis and self.c == other.c
-                and self.unit == other.unit)
+        return (self.basis == other.basis and self.num == other.num
+                and self.den == other.den and self.unit == other.unit)
 
 
 class CoalgebraSpec:
     """Finite-dimensional coalgebra: d[k][i][j] is the e_i(x)e_j part of eta(e_k)."""
+    d = _view("d")
 
     def __init__(self, basis, d):
-        self.n = len(basis)
-        self.basis = list(basis)
-        self.d = _frac_table(d, self.n, "comultiplication")
+        self.n, self.basis = len(basis), list(basis)
+        self.num, self.den = _store(d, self.n, "comultiplication")
 
     def __eq__(self, other):
         if not isinstance(other, CoalgebraSpec):
             return NotImplemented
-        return self.basis == other.basis and self.d == other.d
+        return (self.basis, self.num, self.den) == (other.basis, other.num, other.den)
 
 
 class SuperLieSpec:
     """Z2-graded bracket by structure constants with a parity per basis element."""
+    b = c = _view("b")
 
     def __init__(self, basis, grading, b):
-        self.n = len(basis)
-        self.basis = list(basis)
-        self.grading = [int(g) for g in grading]
+        self.n, self.basis = len(basis), list(basis)
+        self.grading = [_to_int(g) for g in grading]
         if len(self.grading) != self.n or any(g not in (0, 1) for g in self.grading):
             raise ValueError("grading must assign 0 or 1 per basis element")
-        self.b = self.c = _frac_table(b, self.n, "bracket")
-        self.num, self.den = _int_view(self.b)
-        for i in range(self.n):
-            for j in range(self.n):
-                par = (self.grading[i] + self.grading[j]) % 2
-                for k in range(self.n):
-                    if self.b[i][j][k] and self.grading[k] != par:
-                        raise ValueError(
-                            "bracket [%s,%s] leaves the %d-graded part"
-                            % (self.basis[i], self.basis[j], par))
+        self.num, self.den = _store(b, self.n, "bracket")
+        for i, j in itertools.product(range(self.n), repeat=2):
+            par = (self.grading[i] + self.grading[j]) % 2
+            if any(self.grading[k] != par for k in self.num[i][j]):
+                raise ValueError("bracket [%s,%s] leaves the %d-graded part"
+                                 % (self.basis[i], self.basis[j], par))
 
     def as_colorlie(self):
         """The same bracket over G = Z2 with theta(a,b) = (-1)^{ab}."""
-        theta = {((a,), (b,)): Fraction(-1 if a and b else 1)
-                 for a in (0, 1) for b in (0, 1)}
-        return ColorLieSpec(self.basis, [2], [(g,) for g in self.grading],
-                            theta, self.b)
+        return _from_store(ColorLieSpec, self.basis, self.num, self.den,
+                           moduli=[2], grading=[(g,) for g in self.grading],
+                           theta={((a,), (b,)): Fraction(-1 if a and b else 1)
+                                  for a in (0, 1) for b in (0, 1)})
 
 
 class ColorLieSpec:
     """(G,theta)-graded bracket; G a product of cyclic groups given by moduli."""
+    b = c = _view("b")
 
     def __init__(self, basis, moduli, grading, theta, b):
-        self.n = len(basis)
-        self.basis = list(basis)
-        self.moduli = [int(m) for m in moduli]
+        self.n, self.basis = len(basis), list(basis)
+        self.moduli = [_to_int(m) for m in moduli]
         if any(m < 1 for m in self.moduli):
             raise ValueError("group moduli must be at least 1, got %r"
                              % (self.moduli,))
@@ -152,7 +169,7 @@ class ColorLieSpec:
         if any(len(g) != len(self.moduli) for g in grading):
             raise ValueError("each grading entry needs %d components, one per "
                              "group modulus" % len(self.moduli))
-        self.grading = [tuple(int(x) % m for x, m in zip(g, self.moduli))
+        self.grading = [tuple(_to_int(x) % m for x, m in zip(g, self.moduli))
                         for g in grading]
         self.theta = {(tuple(a), tuple(b2)): to_rat(v)
                       for (a, b2), v in theta.items()}
@@ -162,22 +179,17 @@ class ColorLieSpec:
         if len(self.theta) < order * order:
             raise ValueError("theta has %d entries; a group of order %d needs %d"
                              % (len(self.theta), order, order * order))
-        elems = list(group_elements(self.moduli))
-        for a in elems:
-            for b2 in elems:
-                v = self.theta.get((a, b2))
-                if v is None:
-                    raise ValueError("theta missing at %r,%r" % (a, b2))
-                if v == 0:
-                    raise ValueError("theta must be nonzero")
-        self.b = self.c = _frac_table(b, self.n, "bracket")
-        self.num, self.den = _int_view(self.b)
-        for i in range(self.n):
-            for j in range(self.n):
-                tgt = self.group_add(self.grading[i], self.grading[j])
-                for k in range(self.n):
-                    if self.b[i][j][k] and self.grading[k] != tgt:
-                        raise ValueError("bracket leaves L_{a+b}")
+        for a, b2 in itertools.product(group_elements(self.moduli), repeat=2):
+            v = self.theta.get((a, b2))
+            if v is None:
+                raise ValueError("theta missing at %r,%r" % (a, b2))
+            if v == 0:
+                raise ValueError("theta must be nonzero")
+        self.num, self.den = _store(b, self.n, "bracket")
+        for i, j in itertools.product(range(self.n), repeat=2):
+            tgt = self.group_add(self.grading[i], self.grading[j])
+            if any(self.grading[k] != tgt for k in self.num[i][j]):
+                raise ValueError("bracket leaves L_{a+b}")
 
     def group_add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -235,8 +247,8 @@ def _add(acc, v, s=1):
 
 
 def mul_vec(A, u, v):
-    """Bilinear extension of the structure constants A.c: the product of an
-    algebra, or the bracket of a graded Lie structure."""
+    """Bilinear extension of the constants of A: the product of an algebra,
+    or the bracket of a graded Lie structure."""
     if len(u) != A.n or len(v) != A.n:
         raise ValueError("dim mismatch")
     (un, ud), (vn, vd) = common_den(u), common_den(v)
@@ -411,33 +423,37 @@ def thm22_conditions(C, eps, zeta):
     if len(eps) != n or len(zeta) != n:
         raise ValueError("covectors must have %d entries, got %d and %d"
                          % (n, len(eps), len(zeta)))
-    eps = [to_rat(x) for x in eps]
-    zeta = [to_rat(x) for x in zeta]
+    eps, zeta = [to_rat(x) for x in eps], [to_rat(x) for x in zeta]
     # independent iff some 2x2 minor of the rows (eps, zeta) is nonzero
     if all(eps[i] * zeta[j] == eps[j] * zeta[i]
            for i in range(n) for j in range(i + 1, n)):
         raise PreconditionError("covectors must be linearly independent")
-    for k in range(n):
-        dk = C.d[k]
-        ee = sum(dk[i][j] * eps[i] * eps[j] for i in range(n) for j in range(n))
-        zz = sum(dk[i][j] * zeta[i] * zeta[j] for i in range(n) for j in range(n))
-        if ee != zeta[k] or zz != eps[k]:
-            return False
-    return True
+    def square(v, k):  # den times the e_k part of (v(x)v) . eta
+        return sum(x * v[i] * v[j] for i, row in enumerate(C.num[k])
+                   for j, x in row.items())
+    return all(square(eps, k) == zeta[k] * C.den
+               and square(zeta, k) == eps[k] * C.den for k in range(n))
+
+
+def _rotated(num):
+    """num with the constant at (a, b, c) moved to (c, a, b), keys ascending."""
+    out = [[{} for _ in num] for _ in num]
+    for a, plane in enumerate(num):
+        for b, row in enumerate(plane):
+            for c, x in row.items():
+                out[c][a][b] = x
+    return out
 
 
 def dualize(A):
     """Transpose to the dual basis: d[k][i][j] := c[i][j][k]."""
-    n = A.n
-    d = [[[A.c[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
-    return CoalgebraSpec(list(A.basis), d)
+    return _from_store(CoalgebraSpec, A.basis, _rotated(A.num), A.den)
 
 
 def dualize_co(C):
     """Inverse assignment: c[i][j][k] := d[k][i][j]."""
-    n = C.n
-    c = [[[C.d[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return AlgebraSpec(list(C.basis), c)
+    return _from_store(AlgebraSpec, C.basis, _rotated(_rotated(C.num)), C.den,
+                       unit=None)
 
 
 def center_contains(L, z):

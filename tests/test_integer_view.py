@@ -438,6 +438,9 @@ def test_to_rat_keeps_a_fraction_and_refuses_a_float():
 
 # ---------- floats are refused ----------
 
+Z2_THETA = {((a,), (b,)): 1 for a in range(2) for b in range(2)}
+
+
 @pytest.mark.parametrize("build", [
     lambda: common_den([0.1, 1]),
     lambda: mat_from_rows([[0.1]]),
@@ -449,8 +452,13 @@ def test_to_rat_keeps_a_fraction_and_refuses_a_float():
     lambda: mul_vec(registry.build("dual2"), [0.5, 0], [1, 0]),
     lambda: theorem21_instance(0.5, 1),
     lambda: theorem22_instance(0.5),
+    # int() would truncate these to parity 0, modulus 2 and degree (1,)
+    lambda: SuperLieSpec(["a"], [0.5], [[[0]]]),
+    lambda: ColorLieSpec(["a"], [2.9], [(1,)], Z2_THETA, [[[0]]]),
+    lambda: ColorLieSpec(["a"], [2], [(1.7,)], Z2_THETA, [[[0]]]),
 ], ids=["common_den", "mat_from_rows", "algebra", "unit", "coalgebra",
-        "superlie", "theta", "mul_vec", "theorem21", "theorem22"])
+        "superlie", "theta", "mul_vec", "theorem21", "theorem22", "parity",
+        "modulus", "degree"])
 def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="float"):
         build()
