@@ -29,7 +29,7 @@ from .constructions import (COLORED_BOUND, ONEPARAM_BOUND,
                             matrix_form8, oneparam_verify, phi_super,
                             r_algebra, r_colored, r_super_colored,
                             thm32_predict, wxz_thm38)
-from .exactla import rat_from_str, rat_to_str
+from .exactla import rat_to_str, to_rat
 from .paramgrid import GridConfigError, default_grid
 from .structures import (AlgebraSpec, CoalgebraSpec, ColorLieSpec,
                          PreconditionError, SuperLieSpec,
@@ -125,7 +125,7 @@ def emit_report(report, as_json, stream=None):
 
 def _rat(text, what):
     try:
-        return rat_from_str(text)
+        return to_rat(text)
     except ValueError as exc:
         raise CliInputError("bad %s value %r: %s" % (what, text, exc))
 
@@ -438,10 +438,10 @@ def _parse_table(text, what):
     try:
         for piece in text.split(","):
             key, value = piece.split("=", 1)
-            key = rat_from_str(key)
+            key = to_rat(key)
             if key in table:
                 raise ValueError("repeated key %s" % rat_to_str(key))
-            table[key] = rat_from_str(value)
+            table[key] = to_rat(value)
     except ValueError as exc:
         raise CliInputError("bad %s %r: %s" % (what, text, exc))
     if not table:

@@ -13,8 +13,8 @@ coefficient expansion (`yb_forms`): a FAIL's witness is the first grid
 point where a coefficient form is nonzero, and the degree bound kept here
 beside each family sets the `certified` flag.  Table-driven colored
 families are decided by exhausting their color set.  Scalar parameters,
-tables and grid points go through `exactla.to_rat`, so a float is a
-TypeError.
+tables and grid points are read by `exactla.to_rat` or `common_den` (in
+`_formula_op`), so a string is read in the one grammar and a float refused.
 """
 import functools
 import itertools
@@ -182,7 +182,6 @@ def r_algebra(A, alpha, beta, gamma):
     unit = _require_unit(A)
     if A.n < 2:
         raise PreconditionError("needs dim >= 2")
-    alpha, beta, gamma = to_rat(alpha), to_rat(beta), to_rat(gamma)
     return _formula_op(A, unit, alpha, beta, Fraction(0), gamma)
 
 
@@ -360,7 +359,6 @@ def wxz_thm38(A, lam, mu):
     """W = ab(x)1 + lam 1(x)ab - b(x)a; X with both coefficients 1;
     Z = mu ab(x)1 + 1(x)ab - b(x)a."""
     unit = _require_unit(A)
-    lam, mu = to_rat(lam), to_rat(mu)
     return (_formula_op(A, unit, 1, lam, 1, 0), _formula_op(A, unit, 1, 1, 1, 0),
             _formula_op(A, unit, mu, 1, 1, 0))
 
@@ -391,7 +389,6 @@ def phi_super(L, z, alpha):
     to be the identity by slot action; for square matrices that makes the
     formula a two-sided inverse, so a returned pair proves phi invertible."""
     z = _require_central(L, z)
-    alpha = to_rat(alpha)
     # the template subtracts its swap term, so c_swap = -1 adds y(x)x
     op = _formula_op(L, z, alpha, 0, -1, 0, L.grading)
     inv = _formula_op(L, z, 0, alpha, -1, 0, L.grading)

@@ -8,12 +8,13 @@ inverts matrices: `mat_mul`, `kron` (on the big-integer kernels of
 `_kernels`) and `mat_inverse` are reached from no other module and stay
 only while perfbench hooks them.
 
-One helper, `common_den`, brings rationals to integer numerators over one
-denominator; it refuses floats (`to_rat`), whose binary expansion is seldom
-the rational meant.  One elimination, `gauss_jordan`, serves
-`ybcore.invertible` (R's rows), `ybcore.yb_forms` (the coefficient forms
-of [R,S,T]), `mat_inverse` ([A | I]), `row_space_basis` and `project_onto`
-([Gram | rhs]).
+One grammar, `rat_pair_from_str`, reads rational text in files, on the
+command line and in `to_rat`; one reader, `common_den`, takes rationals to
+integers over one denominator, and one writer, `rat_to_str`, back.  Floats
+are refused: their binary expansion is seldom the rational meant.  One
+elimination, `gauss_jordan`, serves `ybcore.invertible` (R's rows),
+`ybcore.yb_forms` (the coefficient forms of [R,S,T]), `mat_inverse`
+([A | I]), `row_space_basis` and `project_onto` ([Gram | rhs]).
 """
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,13 +25,11 @@ Rat = Fraction
 
 
 def rat_pair_from_str(s):
-    """(p, q), q > 0, with p/q the value of the text s; q need not be
-    reduced.  The forms "p" and "p/q" of rat_to_str are read straight to
-    integers; any other string goes through Fraction's parser, which also
-    takes a decimal "p.d", blanks around, a leading "+", digit-group
-    underscores and non-ASCII decimal digits.  Anything but a string is a
-    TypeError; an exponent form ("1e9"), whose size is not bounded by the
-    length of the text, and a zero denominator are a ValueError."""
+    """(p, q), q > 0 not always reduced, the value p/q of the text s: "p"
+    and "p/q" are read straight to integers, else Fraction's parser also
+    takes "p.d", blanks around, a "+", "_" digit groups and non-ASCII digits.
+    A non-string is a TypeError; an exponent form ("1e9", its size unbounded
+    by the length of the text) and a zero denominator are a ValueError."""
     if not isinstance(s, str):
         raise TypeError("expected a rational as a string, got %s %r"
                         % (type(s).__name__, s))
@@ -54,20 +53,30 @@ def rat_from_str(s):
     return Fraction(*rat_pair_from_str(s))
 
 
-def to_rat(x):
-    """x (Rat, int or string) as a Rat, a Rat unchanged; a float is a
-    TypeError: 0.1 would silently become 3602879701896397/36028797018963968."""
+def _pair(x):
+    """(p, q), q > 0, of x as to_rat reads it; q need not be reduced."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    if isinstance(x, str):
+        return rat_pair_from_str(x)
     if isinstance(x, float):
         raise TypeError("floats are not accepted as rationals, got %r" % x)
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return Fraction(x).as_integer_ratio()
 
 
-def rat_to_str(x):
-    """Canonical "p/q" form, bare "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+def to_rat(x):
+    """x (Rat, int or rat_pair_from_str text) as a Rat, a Rat unchanged; a
+    float is a TypeError: 0.1 would become 3602879701896397/36028797018963968."""
+    return x if isinstance(x, Fraction) else Fraction(*_pair(x))
+
+
+def rat_to_str(x, den=1):
+    """Canonical text of x / den (x as to_rat reads it, den a positive int):
+    "p/q" in lowest terms, bare "p" when q is 1."""
+    x, q = _pair(x)
+    den *= q
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
 
 
 class Mat:
@@ -114,12 +123,15 @@ class Mat:
         return "Mat(%dx%d, den=%d)" % (self.rows, self.cols, self.den)
 
 
-def common_den(values):
-    """Rationals (Rat/int/str, no float) as (integer numerators, den), den
-    the lcm of their denominators: value i is numerators[i] / den."""
-    vals = [x if isinstance(x, Fraction) else to_rat(x) for x in values]
-    den = lcm(*[x.denominator for x in vals])
-    return [x.numerator * (den // x.denominator) for x in vals], den
+def common_den(values, pair=_pair):
+    """Rationals as (integer numerators, den), den the lcm of their reduced
+    denominators: value i is numerators[i] / den.  pair(x) is (p, q), q > 0,
+    of one value, by default of a Rat, an int or a string (to_rat)."""
+    texts = {"0": (0, 1)}  # each distinct string is read once, "0" never
+    pq = [(texts.get(x) or texts.setdefault(x, pair(x))) if isinstance(x, str)
+          else pair(x) for x in values]
+    den = lcm(*[q // gcd(p, q) for p, q in pq])
+    return [p * den // q for p, q in pq], den
 
 
 def mat_from_rows(rows):
@@ -230,7 +242,7 @@ def row_space_basis(vecs):
     dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
         raise ValueError("dim mismatch")
-    rows = [[Fraction(x) for x in v] for v in vecs]
+    rows = [[to_rat(x) for x in v] for v in vecs]
     return rows[:len(gauss_jordan(rows, dim))]
 
 

@@ -1,7 +1,7 @@
 """Named example structures for the CLI, the library and the tests."""
 from fractions import Fraction
 
-from .exactla import rat_from_str, to_rat
+from .exactla import to_rat
 from .structures import (AlgebraSpec, SuperLieSpec, theorem21_instance,
                          theorem22_instance)
 
@@ -15,22 +15,16 @@ def build_dual2():
 
 def build_split2(m=1):
     """Q[X]/(X^2 - m): basis (1, x), x^2 = m."""
-    m = to_rat(m)
     c = [[[1, 0], [0, 1]],
          [[0, 1], [m, 0]]]
     return AlgebraSpec(["1", "x"], c, unit=[1, 0])
 
 
 def build_mat2():
-    """2x2 matrices over Q, basis (E11, E12, E21, E22)."""
+    """2x2 matrices over Q, basis (E11, E12, E21, E22): E_ab E_pq = [b = p] E_aq."""
     names = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    idx = {nm: i for i, nm in enumerate(names)}
-    n = 4
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, (a, b) in enumerate(names):
-        for j, (p, q) in enumerate(names):
-            if b == p:
-                c[i][j][idx[a, q]] = Fraction(1)
+    c = [[[int(b == p and (a, q) == e) for e in names] for p, q in names]
+         for a, b in names]
     return AlgebraSpec(["E11", "E12", "E21", "E22"], c, unit=[1, 0, 0, 1])
 
 
@@ -50,10 +44,8 @@ def build_sym2jordan():
 
 def build_heis3():
     """Heisenberg Lie algebra: [x,y] = z central, all even."""
-    n = 3
-    b = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    b[0][1][2] = Fraction(1)
-    b[1][0][2] = Fraction(-1)
+    b = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    b[0][1][2], b[1][0][2] = 1, -1
     return SuperLieSpec(["x", "y", "z"], [0, 0, 0], b)
 
 
@@ -116,5 +108,4 @@ def build(name, *args):
     builder, params = REGISTRY[name]
     if len(args) > len(params):
         raise ValueError("%s takes at most %d parameters" % (name, len(params)))
-    return builder(*[rat_from_str(a) if isinstance(a, str) else to_rat(a)
-                     for a in args])
+    return builder(*map(to_rat, args))

@@ -33,19 +33,20 @@ with w gives coordinate k of G(w) there, so the dual W relation is the same
 evaluation, and (co)commutativity and (co)associativity transpose likewise.
 
 A spec stores only its nonzero constants, num[i][j] = {k: numerator of
-t[i][j][k] over den}, t its dense table and den the lcm of t's denominators.
-Every check runs on them, and each is homogeneous in the constants, so its
-verdict on the numerators is the verdict over Q.  The tables c/b/d are
-read-only `Fraction` views, kept once read.  A float in a spec is a TypeError.
+t[i][j][k] over den}, t its dense table, read once (`exactla.common_den`),
+and den the lcm of its reduced denominators.  Every check runs on them and
+is homogeneous in the constants, so its verdict on the numerators is the
+verdict over Q; files are written from them too, so nothing here reads the
+`Fraction` views c/b/d, kept once read.  A float in a spec is a TypeError.
 """
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 
-from .exactla import (common_den, rat_from_str, rat_to_str, row_space_basis,
-                      to_rat)
+from .exactla import (_pair, common_den, rat_from_str, rat_pair_from_str,
+                      rat_to_str, row_space_basis, to_rat)
 
 
 class PreconditionError(ValueError):
@@ -56,22 +57,23 @@ class MissingUnitError(PreconditionError):
     """Construction requires a unital algebra."""
 
 
-def _frac_table(table, n, what, parse=to_rat):
+_Store = namedtuple("_Store", "num den")  # a table read, taken as it is
+
+
+def _store(table, n, what, pair=_pair):
+    """The _Store of a dense n^3 table (module doc), read by common_den."""
     def sized(seq):
         if not isinstance(seq, (list, tuple)) or len(seq) != n:
             raise ValueError("%s table must be %d^3" % (what, n))
         return seq
 
-    return [[[parse(x) for x in sized(row)] for row in sized(plane)]
-            for plane in sized(table)]
-
-
-def _store(table, n, what):
-    """(num, den) of a dense n^3 table (see the module doc)."""
-    t = _frac_table(table, n, what)
-    den = lcm(*(x.denominator for plane in t for row in plane for x in row))
-    return [[{k: x.numerator * (den // x.denominator) for k, x in enumerate(row)
-              if x} for row in plane] for plane in t], den
+    if isinstance(table, _Store):
+        return table
+    flat, den = common_den((x for plane in sized(table)
+                            for row in sized(plane) for x in sized(row)), pair)
+    rows = [{k: x for k, x in enumerate(flat[r:r + n]) if x}
+            for r in range(0, n ** 3, n)]
+    return _Store([rows[i:i + n] for i in range(0, n * n, n)], den)
 
 
 def _from_store(cls, basis, num, den, **attrs):
@@ -154,7 +156,8 @@ class SuperLieSpec:
 
 
 class ColorLieSpec:
-    """(G,theta)-graded bracket; G a product of cyclic groups given by moduli."""
+    """(G,theta)-graded bracket; G a product of cyclic groups given by moduli.
+    theta: {(a, b): value} or its items; keys are reduced like the grading."""
     b = c = _view("b")
 
     def __init__(self, basis, moduli, grading, theta, b):
@@ -163,33 +166,36 @@ class ColorLieSpec:
         if any(m < 1 for m in self.moduli):
             raise ValueError("group moduli must be at least 1, got %r"
                              % (self.moduli,))
-        grading = [tuple(g) for g in grading]
+        grading = list(grading)
         if len(grading) != self.n:
             raise ValueError("grading dim mismatch")
-        if any(len(g) != len(self.moduli) for g in grading):
-            raise ValueError("each grading entry needs %d components, one per "
-                             "group modulus" % len(self.moduli))
-        self.grading = [tuple(_to_int(x) % m for x, m in zip(g, self.moduli))
-                        for g in grading]
-        self.theta = {(tuple(a), tuple(b2)): to_rat(v)
-                      for (a, b2), v in theta.items()}
-        # theta must cover G x G: count before listing G, whose order is
-        # not bounded by the size of the input
+        self.grading = self._reduced(grading, "each grading entry")
+        theta = list(theta.items() if isinstance(theta, dict) else theta)
+        self.theta = {tuple(self._reduced(key, "each theta key")): to_rat(v)
+                      for key, v in theta}
+        if len(self.theta) < len(theta):
+            raise ValueError("theta lists a pair of G x G twice")
+        # distinct keys in G x G cover it iff there are |G|^2 (unbounded)
         order = prod(self.moduli)
         if len(self.theta) < order * order:
             raise ValueError("theta has %d entries; a group of order %d needs %d"
                              % (len(self.theta), order, order * order))
-        for a, b2 in itertools.product(group_elements(self.moduli), repeat=2):
-            v = self.theta.get((a, b2))
-            if v is None:
-                raise ValueError("theta missing at %r,%r" % (a, b2))
-            if v == 0:
-                raise ValueError("theta must be nonzero")
+        if not all(self.theta.values()):
+            raise ValueError("theta must be nonzero")
         self.num, self.den = _store(b, self.n, "bracket")
         for i, j in itertools.product(range(self.n), repeat=2):
             tgt = self.group_add(self.grading[i], self.grading[j])
             if any(self.grading[k] != tgt for k in self.num[i][j]):
                 raise ValueError("bracket leaves L_{a+b}")
+
+    def _reduced(self, elems, what):
+        """elems modulo the moduli; each needs one component per modulus."""
+        elems = [tuple(g) for g in elems]
+        if any(len(g) != len(self.moduli) for g in elems):
+            raise ValueError("%s needs %d components, one per group modulus"
+                             % (what, len(self.moduli)))
+        return [tuple(_to_int(x) % m for x, m in zip(g, self.moduli))
+                for g in elems]
 
     def group_add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -294,7 +300,6 @@ def check_algebra_props(A):
 
 def theorem21_instance(s, t):
     """Dim-2 commutative algebra with a^2 = b, b^2 = a, ab = ba = s a + t b."""
-    s, t = to_rat(s), to_rat(t)
     c = [[[0, 1], [s, t]],
          [[s, t], [1, 0]]]
     return AlgebraSpec(["a", "b"], c)
@@ -467,35 +472,34 @@ def center_contains(L, z):
     return CenterReport(even, witness is None, witness)
 
 
+_KINDS = {AlgebraSpec: "algebra", CoalgebraSpec: "coalgebra",
+          SuperLieSpec: "superlie", ColorLieSpec: "colorlie"}
+
+
 def structure_to_json(obj):
     """JSON file form.  For algebras, superlie and colorlie structures
     table[i][j][k] is the e_k-coefficient of e_i e_j (resp. the bracket);
     for coalgebras table[k][i][j] is the e_i(x)e_j-coefficient of eta(e_k).
-    """
-    def t3(table):
-        return [[[rat_to_str(x) for x in row] for row in plane]
-                for plane in table]
-
-    if isinstance(obj, AlgebraSpec):
-        out = {"kind": "algebra", "dim": obj.n, "basis": list(obj.basis),
-               "table": t3(obj.c)}
-        if obj.unit is not None:
-            out["unit"] = [rat_to_str(x) for x in obj.unit]
-        return out
-    if isinstance(obj, CoalgebraSpec):
-        return {"kind": "coalgebra", "dim": obj.n, "basis": list(obj.basis),
-                "table": t3(obj.d)}
-    if isinstance(obj, SuperLieSpec):
-        return {"kind": "superlie", "dim": obj.n, "basis": list(obj.basis),
-                "grading": list(obj.grading), "table": t3(obj.b)}
+    Only the nonzero constants are formatted, from the store."""
+    kind = next((k for cls, k in _KINDS.items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise TypeError("cannot serialize %r" % type(obj).__name__)
+    n = obj.n
+    out = {"kind": kind, "dim": n, "basis": list(obj.basis)}
     if isinstance(obj, ColorLieSpec):
-        return {"kind": "colorlie", "dim": obj.n, "basis": list(obj.basis),
-                "group": list(obj.moduli),
-                "grading": [list(g) for g in obj.grading],
-                "theta": [[list(a), list(b), rat_to_str(v)]
-                          for (a, b), v in sorted(obj.theta.items())],
-                "table": t3(obj.b)}
-    raise TypeError("cannot serialize %r" % type(obj).__name__)
+        out.update(group=list(obj.moduli), grading=[list(g) for g in obj.grading],
+                   theta=[[list(a), list(b), rat_to_str(v)]
+                          for (a, b), v in sorted(obj.theta.items())])
+    elif isinstance(obj, SuperLieSpec):
+        out["grading"] = list(obj.grading)
+    rows = [["0"] * n for _ in range(n * n)]
+    for texts, row in zip(rows, itertools.chain.from_iterable(obj.num)):
+        for k, x in row.items():
+            texts[k] = rat_to_str(x, obj.den)
+    out["table"] = [rows[i:i + n] for i in range(0, n * n, n)]
+    if isinstance(obj, AlgebraSpec) and obj.unit is not None:
+        out["unit"] = [rat_to_str(x) for x in obj.unit]
+    return out
 
 
 def _is_int(x):
@@ -511,13 +515,8 @@ def _json_list(value, what, ints=False):
 
 
 def structure_from_json(obj):
-    """The structure of a structure_to_json document; each distinct entry
-    text is parsed once per file, by rat_from_str."""
-    parsed = cache(rat_from_str)
-
-    def rat(x):  # anything but a string is refused by rat_from_str itself
-        return parsed(x) if isinstance(x, str) else rat_from_str(x)
-
+    """The structure of a structure_to_json document.  Entries are strings
+    (rat_pair_from_str); a table is read once, straight to its store."""
     if not isinstance(obj, dict):
         raise ValueError("a structure must be a JSON object")
     kind = obj.get("kind")
@@ -528,24 +527,25 @@ def structure_from_json(obj):
     if not basis:
         raise ValueError("dim must be at least 1")
 
-    def t3(table):
-        return _frac_table(table, len(basis), kind, rat)
+    def table():
+        return _store(obj["table"], len(basis), kind, rat_pair_from_str)
     if kind == "algebra":
         unit = obj.get("unit")
         if unit is not None:
-            unit = [rat(x) for x in _json_list(unit, "unit")]
-        return AlgebraSpec(basis, t3(obj["table"]), unit)
+            unit = [rat_from_str(x) for x in _json_list(unit, "unit")]
+        return AlgebraSpec(basis, table(), unit)
     if kind == "coalgebra":
-        return CoalgebraSpec(basis, t3(obj["table"]))
+        return CoalgebraSpec(basis, table())
     if kind == "superlie":
         grading = _json_list(obj["grading"], "grading", ints=True)
-        return SuperLieSpec(basis, grading, t3(obj["table"]))
+        return SuperLieSpec(basis, grading, table())
     if kind == "colorlie":
-        theta = {(tuple(a), tuple(b)): rat(v) for a, b, v in obj["theta"]}
+        theta = [([_json_list(g, "each theta key", ints=True) for g in (a, b)],
+                  rat_from_str(v)) for a, b, v in _json_list(obj["theta"], "theta")]
         group = _json_list(obj["group"], "group", ints=True)
-        grading = [tuple(_json_list(g, "each grading entry", ints=True))
+        grading = [_json_list(g, "each grading entry", ints=True)
                    for g in _json_list(obj["grading"], "grading")]
-        return ColorLieSpec(basis, group, grading, theta, t3(obj["table"]))
+        return ColorLieSpec(basis, group, grading, theta, table())
     raise ValueError("unknown structure kind %r" % kind)
 
 

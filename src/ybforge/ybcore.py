@@ -6,8 +6,9 @@ e_i (x) e_j (x) e_k at i*n^2 + j*n + k, row-major and zero-based.
 
 An operator R on V(x)V (`LinOp2`) is its nonzero entries: `entries` maps
 (p, q, i, j) to the integer numerator of e_p(x)e_q in R(e_i(x)e_j), over one
-positive `den`.  Builders write them through `from_entries` and checks read
-them; `.mat` is a dense view.  Equality is by value, over any denominators.
+positive `den`.  Builders and the file reader write them (`from_entries`),
+checks and the file writer read them, with exactla's codec for the text;
+`.mat` is a dense view.  Equality is by value, over any denominators.
 `invertible` is a rank test: one elimination of R's rows, no inverse built.
 
 Every identity on V(x)3 is decided by slot action through one kernel,
@@ -56,10 +57,11 @@ of them lies in the slab or in an earlier orbit, so the witness rule holds.
 """
 from collections import namedtuple
 from itertools import chain, compress, product, repeat, tee
-from math import gcd, lcm
+from math import gcd
 from operator import ne
 
-from .exactla import Mat, Rat, common_den, gauss_jordan, rat_pair_from_str
+from .exactla import (Mat, Rat, common_den, gauss_jordan, rat_pair_from_str,
+                      rat_to_str)
 
 
 class LinOp2:
@@ -591,18 +593,16 @@ def _braid_kills(r, vecs):
 
 def linop2_to_json(r):
     """Each entry in rat_to_str's form; only the nonzero ones are formatted."""
-    n, den, nn = r.n, r.den, r.n * r.n
+    n, nn = r.n, r.n * r.n
     rows = [["0"] * nn for _ in range(nn)]
     for (p, q, i, j), x in r.entries.items():
-        g = gcd(x, den)
-        rows[p * n + q][i * n + j] = (str(x // g) if g == den
-                                      else "%d/%d" % (x // g, den // g))
+        rows[p * n + q][i * n + j] = rat_to_str(x, r.den)
     return {"kind": "linop2", "n": n, "mat": rows}
 
 
 def linop2_from_json(obj):
-    """Entries in any form rat_from_str accepts; only those other than the
-    string "0", found in one scan, are parsed, and the nonzero ones kept."""
+    """Entries are rat_pair_from_str texts; the text "0", found in one scan,
+    is skipped, each other distinct text read once, the nonzero ones kept."""
     if not isinstance(obj, dict) or obj.get("kind") != "linop2":
         raise ValueError("not a linop2 object")
     n = obj["n"]
@@ -617,8 +617,6 @@ def linop2_from_json(obj):
                              % (n * n))
     flat = list(chain.from_iterable(mat))
     keep = list(map(ne, flat, repeat("0")))
-    pq = [rat_pair_from_str(x) for x in compress(flat, keep)]
-    den = lcm(*[q for p, q in pq if p])
+    num, den = common_den(compress(flat, keep), rat_pair_from_str)
     keys = compress(product(range(n), repeat=4), keep)
-    return from_entries(n, {key: p * (den // q)
-                            for key, (p, q) in zip(keys, pq) if p}, den)
+    return from_entries(n, {key: x for key, x in zip(keys, num) if x}, den)

@@ -192,6 +192,29 @@ def test_malformed_structure_file_exits_2(capsys, tmp_path, name):
     assert_rejected(*run(capsys, "algebra-check", str(path)))
 
 
+# theta is read like group and grading: a list whose keys are reduced
+# modulo the group and cover G x G once each
+Z2_THETA = [[[0], [0], "1"], [[0], [1], "1"], [[1], [0], "1"], [[1], [1], "1"]]
+MALFORMED_THETA = {
+    "repeated": (Z2_THETA + [[[1], [1], "-1"]], "theta lists a pair"),
+    "reduced-repeat": (Z2_THETA + [[[3], [1], "7"]], "theta lists a pair"),
+    "outside": (Z2_THETA + [[[0, 0], [1], "1"]], "each theta key needs 1"),
+    "object": ({"abc": 1}, "theta must be a list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_THETA))
+def test_malformed_theta_exits_2(capsys, tmp_path, name):
+    theta, message = MALFORMED_THETA[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "colorlie", "dim": 1, "basis": ["a"],
+                                "group": [2], "grading": [[0]],
+                                "theta": theta, "table": [[["0"]]]}))
+    code, out, err = run(capsys, "algebra-check", str(path))
+    assert_rejected(code, out, err)
+    assert message in err
+
+
 NON_STRING_RATIONALS = {
     "table": {"kind": "algebra", "dim": 1, "basis": ["a"], "table": [[[1]]]},
     "unit": {"kind": "algebra", "dim": 1, "basis": ["a"],

@@ -188,7 +188,7 @@ def _refuse(*_args, **_kwargs):
 def unparsed(build, *args):
     """build(*args) with every table reader of structures refusing."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_frac_table", "_store", "to_rat", "common_den"):
+        for name in ("_store", "to_rat", "common_den"):
             mp.setattr(structures, name, _refuse)
         for name in ("to_rat", "common_den"):
             mp.setattr(constructions, name, _refuse)
