@@ -126,10 +126,13 @@ class Mat:
 def common_den(values, pair=_pair):
     """Rationals as (integer numerators, den), den the lcm of their reduced
     denominators: value i is numerators[i] / den.  pair(x) is (p, q), q > 0,
-    of one value, by default of a Rat, an int or a string (to_rat)."""
+    of one value, by default of a Rat, an int or a string (to_rat), where a
+    zero int or Rat is (0, 1) with no call, as is the text "0" for any pair."""
     texts = {"0": (0, 1)}  # each distinct string is read once, "0" never
+    # type(0.0) is float, refused by _pair; another pair sees every number
+    zeros = (int, Fraction) if pair is _pair else ()
     pq = [(texts.get(x) or texts.setdefault(x, pair(x))) if isinstance(x, str)
-          else pair(x) for x in values]
+          else (0, 1) if type(x) in zeros and not x else pair(x) for x in values]
     den = lcm(*[q // gcd(p, q) for p, q in pq])
     return [p * den // q for p, q in pq], den
 

@@ -24,8 +24,21 @@ guess.  The two summing modes evaluate both orders of a pair at once:
 H(a,b,c,d) = G(a,b,c,d) + G(b,a,c,d) = ((Y c) d) - Y (c d), Y = ab + ba.
 A pattern3 generator is the sum of H(q,r,l,s) over the splits {q,r | s} of
 {i,j,k}; symmetrized adds H(q,r,s,l) (slot 3) and, as slots 0 and 1 pair
-up, H(l,p0,p1,p2) over the orderings p.  That halves the products; full
+up, H(l,p0,p1,p2) over the orderings p.  That halves the terms; full
 keeps G, as its generators put e_l in one slot alone.
+
+G is the associator (v1 v2, v3, v4), so it is linear in v1 v2 and every
+term comes from one table of basis associators A(t,c,d) = (e_t e_c) e_d -
+e_t (e_c e_d), integer numerators over den^2 (`_Associators`): G(a,b,c,d)
+= sum_t (e_a e_b)_t A(t,c,d), and H the same with e_a e_b + e_b e_a.  The
+table is the only place here where products of basis elements meet for
+associativity and the W relations.  It computes each associator on its
+first read and keeps it, so none is computed twice and a FAIL still stops
+early.  `_associative` reads it in order up to the first nonzero entry,
+skipping those with e_t e_c = e_c e_d = 0; when there is none, G is zero
+on all of V^(x4) and every W relation holds with no generator evaluated:
+an associative commutative algebra is Jordan (McCrimmon, A Taste of
+Jordan Algebras, 2004).  `check_algebra_props` reads one table for both.
 
 The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j]:
 pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
@@ -40,9 +53,8 @@ verdict over Q; files are written from them too, so nothing here reads the
 `Fraction` views c/b/d, kept once read.  A float in a spec is a TypeError.
 """
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from math import prod
 
 from .exactla import (_pair, common_den, rat_from_str, rat_pair_from_str,
@@ -278,10 +290,37 @@ def _commutative(A):
                for i in range(A.n) for j in range(i + 1, A.n))
 
 
+class _Associators(dict):
+    """The basis associators of A, (t, c, d) -> (e_t e_c) e_d - e_t (e_c e_d)
+    as numerators over A.den^2, {} if zero, each computed on its first read
+    and kept."""
+    __slots__ = ("A",)
+
+    def __init__(self, A):
+        super().__init__()
+        self.A = A
+
+    def __missing__(self, tcd):
+        t, c, d = tcd
+        A = self.A
+        lhs, rhs = _mul(A, A.num[t][c], {d: 1}), _mul(A, {t: 1}, A.num[c][d])
+        v = self[tcd] = _add(lhs, rhs, -1) if lhs != rhs else {}
+        return v
+
+    def vanish(self):
+        """True iff every associator is zero, read in the order of (t, c, d)
+        up to the first that is not; where e_t e_c = e_c e_d = 0 it is zero
+        unread."""
+        num = self.A.num
+        for tcd in itertools.product(range(self.A.n), repeat=3):
+            t, c, d = tcd
+            if (num[t][c] or num[c][d]) and self[tcd]:
+                return False
+        return True
+
+
 def _associative(A):
-    num = A.num
-    return all(_mul(A, num[i][j], {k: 1}) == _mul(A, {i: 1}, num[j][k])
-               for i, j, k in itertools.product(range(A.n), repeat=3))
+    return _Associators(A).vanish()
 
 
 def check_algebra_props(A):
@@ -293,9 +332,10 @@ def check_algebra_props(A):
     definition; an associative noncommutative algebra satisfies the bare
     identity but is not Jordan.)
     """
-    comm = _commutative(A)
-    jordan = comm and _g_vanishes_on_w(A, "pattern3")
-    return PropReport(comm, _associative(A), _unit_valid(A), jordan)
+    comm, table = _commutative(A), _Associators(A)
+    assoc = table.vanish()
+    jordan = comm and (assoc or _g_vanishes_on_w(A, "pattern3", table))
+    return PropReport(comm, assoc, _unit_valid(A), jordan)
 
 
 def theorem21_instance(s, t):
@@ -343,41 +383,52 @@ def w_subspace_basis(n, mode):
     return WSubspace(n, mode, tuple(tuple(v) for v in row_space_basis(gens)))
 
 
+def _counted(items):
+    """(item, multiplicity) in first-seen order.  Not a Counter, whose
+    Mapping check costs 20-50 us on its first call in a process."""
+    out = {}
+    for x in items:
+        out[x] = out.get(x, 0) + 1
+    return out.items()
+
+
 def _w_pair_sums(n, mode):
     """The W generators of a paired mode, in the order of _w_generators,
     each as (t, m) pairs: the generator is the sum of m H(t)."""
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
-        splits = Counter(((i, j, k), (i, k, j), (j, k, i))).items()
-        perms = Counter(itertools.permutations((i, j, k))).items()
+        splits = _counted(((i, j, k), (i, k, j), (j, k, i)))
+        perms = _counted(itertools.permutations((i, j, k)))
         for l in range(n):
             terms = [((q, r, l, s), m) for (q, r, s), m in splits]
             if mode == "symmetrized":
                 terms += [((q, r, s, l), m) for (q, r, s), m in splits]
-                terms += [((min(l, p), max(l, p), q, s), m) for (p, q, s), m in perms]
+                terms += [((l, p, q, s), m) for (p, q, s), m in perms]
             yield terms
 
 
-def _g_vanishes_on_w(A, mode):
+def _g_vanishes_on_w(A, mode, table=None):
     """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
-    generator, stopping at the first that is not; the paired modes sum H
-    (see the module doc).  Cached terms are only read."""
-    num, r, paired = A.num, range(A.n), mode in ("pattern3", "symmetrized")
-    x = [[_add(dict(num[a][b]), num[b][a]) for b in r] for a in r] if paired else num
-
-    @cache
-    def xc(a, b, c):
-        return _mul(A, x[a][b], {c: 1})
-
-    def term(a, b, c, d):
-        return _add(_mul(A, xc(a, b, c), {d: 1}), _mul(A, x[a][b], num[c][d]), -1)
-
-    if mode != "pattern3":  # no H(t) of pattern3 recurs in another generator
-        term = cache(term)
+    generator, stopping at the first that is not.  Each term is read from
+    the associator table (module doc), a new one unless given, so no
+    products are formed here; when every associator is zero, so is G."""
+    if mode not in _W_SLOTS:
+        raise ValueError("unknown mode %r" % (mode,))
+    table = _Associators(A) if table is None else table
+    if table.vanish():
+        return True
+    num, r, paired = A.num, range(A.n), mode != "full"
+    x = [[_add(dict(num[a][b]), num[b][a]) if paired else num[a][b] for b in r]
+         for a in r]
+    # the nonzero (t, y) of e_a e_b, or of e_a e_b + e_b e_a for H
+    x = [[[(t, y) for t, y in xab.items() if y] for xab in row] for row in x]
     for terms in (_w_pair_sums(A.n, mode) if paired else
                   ([(t, 1) for t in ts] for ts in _w_generators(A.n, mode))):
         acc = {}
-        for t, m in terms:
-            _add(acc, term(*t), m)
+        for (a, b, c, d), m in terms:
+            for t, y in x[a][b]:
+                v = table[t, c, d]
+                if v:
+                    _add(acc, v, m * y)
         if any(acc.values()):
             return False
     return True
@@ -540,8 +591,14 @@ def structure_from_json(obj):
         grading = _json_list(obj["grading"], "grading", ints=True)
         return SuperLieSpec(basis, grading, table())
     if kind == "colorlie":
-        theta = [([_json_list(g, "each theta key", ints=True) for g in (a, b)],
-                  rat_from_str(v)) for a, b, v in _json_list(obj["theta"], "theta")]
+        theta = []
+        for entry in _json_list(obj["theta"], "theta"):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError("each theta entry must be a list [key, key, "
+                                 "value], got %r" % (entry,))
+            a, b, v = entry
+            theta.append(([_json_list(g, "each theta key", ints=True)
+                           for g in (a, b)], rat_from_str(v)))
         group = _json_list(obj["group"], "group", ints=True)
         grading = [_json_list(g, "each grading entry", ints=True)
                    for g in _json_list(obj["grading"], "grading")]

@@ -200,6 +200,8 @@ MALFORMED_THETA = {
     "reduced-repeat": (Z2_THETA + [[[3], [1], "7"]], "theta lists a pair"),
     "outside": (Z2_THETA + [[[0, 0], [1], "1"]], "each theta key needs 1"),
     "object": ({"abc": 1}, "theta must be a list"),
+    "short-entry": ([[[0], [0]]], "each theta entry"),
+    "entry-not-a-list": (["1"], "each theta entry"),
 }
 
 

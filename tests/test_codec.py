@@ -62,6 +62,16 @@ def test_common_den_reduces_text_denominators():
     assert common_den(["0/7"]) == ([0], 1)
 
 
+def test_common_den_reads_zero_numbers_only_as_to_rat_does():
+    assert common_den([0, Fraction(0), "0", Fraction(3, 4), False]) == (
+        [0, 0, 0, 3, 0], 4)
+    with pytest.raises(TypeError, match="float"):
+        common_den([0.0])
+    # a file entry must be text, zero or not
+    with pytest.raises(TypeError, match="as a string"):
+        common_den([0], exactla.rat_pair_from_str)
+
+
 # ---------- structure files: one reader, one writer ----------
 
 def old_rat_to_str(x):
