@@ -25,8 +25,8 @@ from math import lcm, prod
 from .exactla import common_den, mat_from_rows, to_rat
 from .paramgrid import GridConfigError, GridResult
 from .structures import (AlgebraSpec, MissingUnitError, PreconditionError,
-                         _from_store, _unit_valid, center_contains,
-                         check_algebra_props)
+                         _from_store, _unit_valid, _w_vectors,
+                         center_contains, check_algebra_props)
 from .ybcore import (_braid_kills, _summed, braid_check,
                      composes_to_identity, from_entries, with_twist,
                      yb_forms, yb_vanishes)
@@ -432,6 +432,23 @@ def _adjoin_unit(J):
                        unit=[Fraction(1)] + [Fraction(0)] * J.n)
 
 
+def _restricted_family(J, offset):
+    """The family of jordan_r_restricted as sparse integer vectors of V^(x3)
+    over J.den, V = J with a unit adjoined at index 0 when offset is 1: each
+    pattern3 W vector of J, the sum of (e_p e_q)(x)e_l(x)e_s over the
+    orderings (p,q,s) of {i<=j<=k} (`structures._w_vectors`), followed by
+    its mirror e_s(x)e_l(x)(e_p e_q)."""
+    m = J.n + offset
+    family = []
+    for v in _w_vectors(J, "pattern3"):
+        sq_b_a, a_b_sq = {}, {}
+        for (t, l, s), x in v.items():
+            t, l, s = t + offset, l + offset, s + offset
+            sq_b_a[(t * m + l) * m + s] = a_b_sq[(s * m + l) * m + t] = x
+        family += [sq_b_a, a_b_sq]
+    return family
+
+
 def jordan_r_restricted(J, alpha, beta, gamma):
     """Braid equation for R_{alpha,beta,gamma} over a Jordan algebra,
     restricted to the span of {a^2(x)b(x)a, a(x)b(x)a^2 : a,b in J}.
@@ -439,11 +456,11 @@ def jordan_r_restricted(J, alpha, beta, gamma):
     J must satisfy the Jordan property.  When J lacks a unit a formal one is
     adjoined (the formula references 1); the spanning family still ranges
     over elements of J only.  Both members are cubic in a and linear in b,
-    so over Q they span the same subspace as their polarisations: for each
-    multiset {i<=j<=k} of J's basis and each basis element b, the sums of
-    (e_p e_q)(x)b(x)e_s and e_s(x)b(x)(e_p e_q) over the orderings (p,q,s)
-    of (i,j,k).  That gives C(n+2,3)*n*2 vectors, kept as sparse integer
-    numerators over jp.den.
+    so over Q they span the same subspace as their polarisations, which are
+    the pattern3 W vectors of J and their mirrors (`structures` polarises
+    the Jordan identity; `_restricted_family`): C(n+2,3)*n*2 vectors.  When
+    the full braid relation holds, so does the restricted one, and no
+    vector is pushed.
     """
     props = check_algebra_props(J)
     if not props.jordan:
@@ -454,18 +471,6 @@ def jordan_r_restricted(J, alpha, beta, gamma):
         jp, offset = _adjoin_unit(J), 1
     r = r_algebra(jp, alpha, beta, gamma)
     full = braid_check(r)
-    m = jp.n
-    own = range(offset, m)
-    family = []
-    for idx3 in itertools.combinations_with_replacement(own, 3):
-        perms = list(itertools.permutations(idx3))
-        for b in own:
-            sq_b_a, a_b_sq = {}, {}
-            for p, q, s in perms:
-                for k, x in jp.num[p][q].items():
-                    i, j = (k * m + b) * m + s, (s * m + b) * m + k
-                    sq_b_a[i] = sq_b_a.get(i, 0) + x
-                    a_b_sq[j] = a_b_sq.get(j, 0) + x
-            family += [sq_b_a, a_b_sq]
-    restricted = _braid_kills(r, family)
+    family = _restricted_family(J, offset)
+    restricted = full or _braid_kills(r, family)
     return RestrictedReport(restricted, full, offset == 1, len(family))

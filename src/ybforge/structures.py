@@ -30,19 +30,32 @@ keeps G, as its generators put e_l in one slot alone.
 G is the associator (v1 v2, v3, v4), so it is linear in v1 v2 and every
 term comes from one table of basis associators A(t,c,d) = (e_t e_c) e_d -
 e_t (e_c e_d), integer numerators over den^2 (`_Associators`): G(a,b,c,d)
-= sum_t (e_a e_b)_t A(t,c,d), and H the same with e_a e_b + e_b e_a.  The
-table is the only place here where products of basis elements meet for
-associativity and the W relations.  It computes each associator on its
-first read and keeps it, so none is computed twice and a FAIL still stops
-early.  `_associative` reads it in order up to the first nonzero entry,
-skipping those with e_t e_c = e_c e_d = 0; when there is none, G is zero
-on all of V^(x4) and every W relation holds with no generator evaluated:
-an associative commutative algebra is Jordan (McCrimmon, A Taste of
-Jordan Algebras, 2004).  `check_algebra_props` reads one table for both.
+= sum_t (e_a e_b)_t A(t,c,d), and H the same with e_a e_b + e_b e_a.  So
+each W generator is a vector v of V^(x3), v[t,c,d] the summed (e_a e_b)_t
+of its terms (`_w_vectors`), and G on it is sum v[t,c,d] A(t,c,d).  This
+module is the one place that polarises the Jordan identity: the pattern3
+vectors, the sums of (e_p e_q)(x)e_l(x)e_s over the orderings (p,q,s) of
+{i,j,k}, are also the restricted braid family of
+`constructions.jordan_r_restricted`, with their mirrors.
 
-The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j]:
-pairing column k of (eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta
-with w gives coordinate k of G(w) there, so the dual W relation is the same
+The table is the only place here where products of basis elements meet
+for associativity and the W relations.  It computes each associator on
+its first read, and it is kept on the structure (`_kept`, like the
+`Fraction` views), so no check of one structure computes an associator
+twice and a FAIL still stops early.  The table holds the structure's
+store, never the structure: a structure and its table referring to each
+other would leave every checked structure to the cyclic garbage collector
+instead of freeing it when its last reference goes, and those collections
+slow a run of many small checks.  `_associative` reads the table in
+order up to the first nonzero entry, skipping those with e_t e_c = e_c e_d
+= 0; when there is none, G is zero on all of V^(x4) and every W relation
+holds with no generator evaluated: an associative commutative algebra is
+Jordan (McCrimmon, A Taste of Jordan Algebras, 2004).
+
+The coalgebra checks run on the dual algebra c[i][j][k] = d[k][i][j],
+kept on the coalgebra (`_dual`): pairing column k of
+(eta(x)I(x)I)(eta(x)I)eta - (I(x)I(x)eta)(eta(x)I)eta with w gives
+coordinate k of G(w) there, so the dual W relation is the same
 evaluation, and (co)commutativity and (co)associativity transpose likewise.
 
 A spec stores only its nonzero constants, num[i][j] = {k: numerator of
@@ -51,6 +64,8 @@ and den the lcm of its reduced denominators.  Every check runs on them and
 is homogeneous in the constants, so its verdict on the numerators is the
 verdict over Q; files are written from them too, so nothing here reads the
 `Fraction` views c/b/d, kept once read.  A float in a spec is a TypeError.
+A spec is not changed after it is built, so what is kept on it stays
+true.
 """
 import itertools
 from collections import namedtuple
@@ -95,14 +110,22 @@ def _from_store(cls, basis, num, den, **attrs):
     return S
 
 
+def _kept(S, name, make):
+    """vars(S)[name], made as make(S) on its first use and kept on S."""
+    kept = vars(S)
+    if name not in kept:
+        kept[name] = make(S)
+    return kept[name]
+
+
+def _fractions(S):
+    return [[[Fraction(row.get(k, 0), S.den) for k in range(S.n)]
+             for row in plane] for plane in S.num]
+
+
 def _view(name):
     """Read-only `Fraction` table of num/den, built on first read and kept."""
-    def table(S):
-        if name not in vars(S):
-            vars(S)[name] = [[[Fraction(row.get(k, 0), S.den) for k in range(S.n)]
-                              for row in plane] for plane in S.num]
-        return vars(S)[name]
-    return property(table)
+    return property(lambda S: _kept(S, name, _fractions))
 
 
 def _to_int(x):
@@ -293,17 +316,17 @@ def _commutative(A):
 class _Associators(dict):
     """The basis associators of A, (t, c, d) -> (e_t e_c) e_d - e_t (e_c e_d)
     as numerators over A.den^2, {} if zero, each computed on its first read
-    and kept."""
-    __slots__ = ("A",)
+    and kept.  It holds A's store, not A, as A keeps it (module doc)."""
+    __slots__ = ("store",)
 
     def __init__(self, A):
         super().__init__()
-        self.A = A
+        self.store = _Store(A.num, A.den)
 
     def __missing__(self, tcd):
         t, c, d = tcd
-        A = self.A
-        lhs, rhs = _mul(A, A.num[t][c], {d: 1}), _mul(A, {t: 1}, A.num[c][d])
+        S = self.store
+        lhs, rhs = _mul(S, S.num[t][c], {d: 1}), _mul(S, {t: 1}, S.num[c][d])
         v = self[tcd] = _add(lhs, rhs, -1) if lhs != rhs else {}
         return v
 
@@ -311,16 +334,26 @@ class _Associators(dict):
         """True iff every associator is zero, read in the order of (t, c, d)
         up to the first that is not; where e_t e_c = e_c e_d = 0 it is zero
         unread."""
-        num = self.A.num
-        for tcd in itertools.product(range(self.A.n), repeat=3):
+        num = self.store.num
+        for tcd in itertools.product(range(len(num)), repeat=3):
             t, c, d = tcd
             if (num[t][c] or num[c][d]) and self[tcd]:
                 return False
         return True
 
 
+def _associators(A):
+    """The associator table of A, kept on A."""
+    return _kept(A, "_associators", _Associators)
+
+
+def _dual(C):
+    """The dual algebra of C (dualize_co), kept on C."""
+    return _kept(C, "_dual", dualize_co)
+
+
 def _associative(A):
-    return _Associators(A).vanish()
+    return _associators(A).vanish()
 
 
 def check_algebra_props(A):
@@ -332,9 +365,8 @@ def check_algebra_props(A):
     definition; an associative noncommutative algebra satisfies the bare
     identity but is not Jordan.)
     """
-    comm, table = _commutative(A), _Associators(A)
-    assoc = table.vanish()
-    jordan = comm and (assoc or _g_vanishes_on_w(A, "pattern3", table))
+    comm, assoc = _commutative(A), _associative(A)
+    jordan = comm and (assoc or _g_vanishes_on_w(A, "pattern3"))
     return PropReport(comm, assoc, _unit_valid(A), jordan)
 
 
@@ -383,52 +415,56 @@ def w_subspace_basis(n, mode):
     return WSubspace(n, mode, tuple(tuple(v) for v in row_space_basis(gens)))
 
 
-def _counted(items):
-    """(item, multiplicity) in first-seen order.  Not a Counter, whose
-    Mapping check costs 20-50 us on its first call in a process."""
-    out = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out.items()
-
-
 def _w_pair_sums(n, mode):
     """The W generators of a paired mode, in the order of _w_generators,
-    each as (t, m) pairs: the generator is the sum of m H(t)."""
+    each as the list of 4-tuples t whose H(t) it sums (a tuple may repeat)."""
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
-        splits = _counted(((i, j, k), (i, k, j), (j, k, i)))
-        perms = _counted(itertools.permutations((i, j, k)))
+        splits = ((i, j, k), (i, k, j), (j, k, i))
+        perms = list(itertools.permutations((i, j, k)))
         for l in range(n):
-            terms = [((q, r, l, s), m) for (q, r, s), m in splits]
+            terms = [(q, r, l, s) for q, r, s in splits]
             if mode == "symmetrized":
-                terms += [((q, r, s, l), m) for (q, r, s), m in splits]
-                terms += [((l, p, q, s), m) for (p, q, s), m in perms]
+                terms += [(q, r, s, l) for q, r, s in splits]
+                terms += [(l, p, q, s) for p, q, s in perms]
             yield terms
 
 
-def _g_vanishes_on_w(A, mode, table=None):
-    """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
-    generator, stopping at the first that is not.  Each term is read from
-    the associator table (module doc), a new one unless given, so no
-    products are formed here; when every associator is zero, so is G."""
-    if mode not in _W_SLOTS:
-        raise ValueError("unknown mode %r" % (mode,))
-    table = _Associators(A) if table is None else table
-    if table.vanish():
-        return True
+def _w_vectors(A, mode):
+    """Each W generator of the mode, in the order of _w_generators, as a
+    vector {(t, c, d): integer} of V^(x3): G on the generator is the sum of
+    v[t, c, d] A(t, c, d), numerators over A.den^3 (module doc)."""
     num, r, paired = A.num, range(A.n), mode != "full"
     x = [[_add(dict(num[a][b]), num[b][a]) if paired else num[a][b] for b in r]
          for a in r]
     # the nonzero (t, y) of e_a e_b, or of e_a e_b + e_b e_a for H
     x = [[[(t, y) for t, y in xab.items() if y] for xab in row] for row in x]
-    for terms in (_w_pair_sums(A.n, mode) if paired else
-                  ([(t, 1) for t in ts] for ts in _w_generators(A.n, mode))):
-        acc = {}
-        for (a, b, c, d), m in terms:
+    for terms in (_w_pair_sums(A.n, mode) if paired
+                  else _w_generators(A.n, mode)):
+        v = {}
+        get = v.get
+        for a, b, c, d in terms:
             for t, y in x[a][b]:
-                v = table[t, c, d]
-                if v:
-                    _add(acc, v, m * y)
+                k = t, c, d
+                v[k] = get(k, 0) + y
+        yield v
+
+
+def _g_vanishes_on_w(A, mode):
+    """True iff G = ((v1 v2) v3) v4 - (v1 v2)(v3 v4) is zero on every W
+    generator, stopping at the first that is not.  Each generator is a
+    vector of V^(x3) against A's associator table (module doc), so no
+    products are formed here; when every associator is zero, so is G."""
+    if mode not in _W_SLOTS:
+        raise ValueError("unknown mode %r" % (mode,))
+    table = _associators(A)
+    if table.vanish():
+        return True
+    for v in _w_vectors(A, mode):
+        acc = {}
+        for tcd, y in v.items():
+            a = table[tcd]
+            if a:
+                _add(acc, a, y)
         if any(acc.values()):
             return False
     return True
@@ -442,7 +478,7 @@ def jordan_w_check(A, mode):
 
 
 def coalgebra_props(C):
-    A = dualize_co(C)
+    A = _dual(C)
     return CoPropReport(_commutative(A), _associative(A))
 
 
@@ -453,7 +489,7 @@ def jordan_co_check(C, mode):
     be orthogonal to W, which is the W relation of the dual algebra (see the
     module doc).
     """
-    A = dualize_co(C)
+    A = _dual(C)
     if not _commutative(A):
         raise PreconditionError("jordan_co_check requires a cocommutative coalgebra")
     return _g_vanishes_on_w(A, mode)

@@ -174,7 +174,9 @@ def formula_op(A, z, c_ab1, c_1ab, c_swap, c_diag, grading=None):
 
 def restricted_family(jp, offset):
     """The polarised squares family of `jordan_r_restricted` as dense
-    rational vectors on V^(x3), V = jp, over the basis elements from offset."""
+    rational vectors on V^(x3), V = jp, over the basis elements from offset:
+    the loop it ran before it read the family from the pattern3 W vectors
+    (`constructions._restricted_family`)."""
     m = jp.n
     own = range(offset, m)
     family = []

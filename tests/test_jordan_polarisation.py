@@ -304,13 +304,12 @@ def test_non_cocommutative_coalgebra_is_rejected():
 
 
 def test_restricted_braid_matches_the_grid_family(monkeypatch):
-    # record the family that jordan_r_restricted hands to the check, as
-    # dense rational vectors (it builds them as sparse integer vectors)
-    families = []
+    # jordan_r_restricted hands its family (sparse integer vectors) to the
+    # check only when the full braid relation fails; record what it hands
+    pushed = []
 
     def recording(r, vecs):
-        families.append([[Fraction(v.get(i, 0)) for i in range(r.n ** 3)]
-                         for v in vecs])
+        pushed.append(vecs)
         return _braid_kills(r, vecs)
 
     monkeypatch.setattr(constructions, "_braid_kills", recording)
@@ -323,12 +322,17 @@ def test_restricted_braid_matches_the_grid_family(monkeypatch):
     @given(symmetrised_assoc().filter(lambda a: a.n == 2), triples)
     def check(a, abcs):
         jp, grid_family = old_grid_family(a)
+        sparse = constructions._restricted_family(a, jp.n - a.n)
         for abc in abcs:
+            pushed.clear()
             rep = jordan_r_restricted(a, *abc)
             assert rep.restricted == old_restricted(jp, grid_family, *abc)
+            assert len(sparse) == rep.family_size
+            assert pushed == ([] if rep.full else [sparse])
             seen.add(rep.restricted)
         # the polarised family spans the grid family's subspace
-        family = families[-1]
+        family = [[Fraction(v.get(i, 0)) for i in range(jp.n ** 3)]
+                  for v in sparse]
         rank = len(row_space_basis(family))
         assert rank == len(row_space_basis(grid_family))
         assert rank == len(row_space_basis(family + grid_family))
